@@ -31,6 +31,7 @@ from .model import (
     load_game_file,
     load_state_file,
     state_to_dict,
+    validate_game,
 )
 from .optimum import min_horizon, optimal_state
 
@@ -201,6 +202,9 @@ def cmd_flow(args: argparse.Namespace) -> int:
 
 def cmd_split(args: argparse.Namespace) -> int:
     game = load_game_file(args.game)
+    bad = validate_game(game)
+    if bad:
+        raise FifoRouteError("invalid game: " + "; ".join(bad))
     split_game, mapping = split_capacities(game)
     report = {
         "game": game_to_dict(split_game),

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import random
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Union
 
@@ -97,8 +96,7 @@ def sequential_equilibrium(game: Game, policy: TieBreakPolicy = GREEDY_QUEUE) ->
     reaches any node before an earlier-indexed player) is asserted at every
     step, and the returned state is an equilibrium.
     """
-    paths, _ = _construct(game, policy)
-    return State(paths)
+    return State(_construct(game, policy))
 
 
 def worst_equilibrium(game: Game) -> State:
@@ -106,10 +104,8 @@ def worst_equilibrium(game: Game) -> State:
     return sequential_equilibrium(game, GREEDY_QUEUE)
 
 
-def _construct(
-    game: Game, policy: TieBreakPolicy
-) -> tuple[tuple[PathChoice, ...], tuple[tuple[int, ...], ...]]:
-    """Core sequential construction; returns (paths, per-node arrival lists)."""
+def _construct(game: Game, policy: TieBreakPolicy) -> tuple[PathChoice, ...]:
+    """Core sequential construction; returns one path per player."""
     bad = validate_game(game)
     if bad:
         raise ConstructionError("invalid game: " + "; ".join(bad))
@@ -121,14 +117,17 @@ def _construct(
     n = game.n
     rng = random.Random(policy.seed) if policy.kind == "seeded" else None
 
-    # per-layer parallel arrays; per-edge FIFO history as sorted time arrays
+    # Per edge, the departure times so far (non-decreasing) and a head pointer
+    # to the first one >= the current entry time. Entry times on a layer are
+    # arrivals at its tail node, which the invariant below keeps
+    # non-decreasing in player index, so every head only moves forward and
+    # the queue a player finds is len(departs) - head.
     layer_taus = [[e.transit for e in layer] for layer in graph.layers]
     layer_caps = [[e.capacity for e in layer] for layer in graph.layers]
-    entries: list[list[list[int]]] = [[[] for _ in layer] for layer in graph.layers]
     departs: list[list[list[int]]] = [[[] for _ in layer] for layer in graph.layers]
+    heads: list[list[int]] = [[0] * len(layer) for layer in graph.layers]
 
     last_node_arrival = [-1] * (m + 1)
-    node_arrivals: list[list[int]] = [[] for _ in range(m + 1)]
     kind = policy.kind
     paths: list[PathChoice] = []
 
@@ -137,13 +136,12 @@ def _construct(
         if t < last_node_arrival[0]:
             raise ConstructionError(f"player {i + 1} starts before player {i}")
         last_node_arrival[0] = t
-        node_arrivals[0].append(t)
         choice: list[int] = []
         for j in range(m):
             taus = layer_taus[j]
             caps = layer_caps[j]
-            ent = entries[j]
             dep = departs[j]
+            head = heads[j]
             best = -1
             best_w = -1
             best_q = 0
@@ -153,14 +151,12 @@ def _construct(
                 if best >= 0 and tau > best_w:
                     break  # layer sorted by transit: nothing better follows
                 d = dep[idx]
-                e = ent[idx]
-                if not d:
-                    queued = 0
-                elif e[-1] <= t:
-                    # everyone already entered; tail departing >= t drains 1/step
-                    queued = len(d) - bisect_left(d, t)
-                else:
-                    queued = bisect_right(e, t) - bisect_left(d, t)
+                h = head[idx]
+                size = len(d)
+                while h < size and d[h] < t:
+                    h += 1
+                head[idx] = h
+                queued = size - h
                 w = tau + queued // caps[idx]
                 if best < 0 or w < best_w:
                     best, best_w, best_q = idx, w, queued
@@ -179,33 +175,26 @@ def _construct(
             if rng is not None and len(ties) > 1:
                 best = ties[rng.randrange(len(ties))]
 
-            e = ent[best]
-            if e and t < e[-1]:
-                raise ConstructionError(
-                    f"player {i + 1} enters layer {j + 1} edge {best + 1} at {t}, "
-                    f"before an earlier player's entry at {e[-1]}"
-                )
             d = dep[best]
-            if not d or d[-1] < t:
-                out = t + (0 if caps[best] == 1 else (len(d) - bisect_left(d, t)) // caps[best])
+            queued = len(d) - head[best]
+            if not queued:
+                out = t
             elif caps[best] == 1:
                 out = d[-1] + 1
             else:
-                out = t + (len(d) - bisect_left(d, t)) // caps[best]
-            e.append(t)
+                out = t + queued // caps[best]
             d.append(out)
-            t = out + layer_taus[j][best]
+            t = out + taus[best]
             if t < last_node_arrival[j + 1]:
                 raise ConstructionError(
                     f"player {i + 1} reaches node {j + 1} at {t}, "
                     f"before the previous front at {last_node_arrival[j + 1]}"
                 )
             last_node_arrival[j + 1] = t
-            node_arrivals[j + 1].append(t)
             choice.append(best + 1)
         paths.append(PathChoice(tuple(choice)))
 
-    return tuple(paths), tuple(tuple(row) for row in node_arrivals)
+    return tuple(paths)
 
 
 DEFAULT_PATH_BUDGET = 10_000
@@ -274,7 +263,7 @@ def enumerate_equilibria(game: Game, state_budget: int = DEFAULT_STATE_BUDGET) -
         raise BudgetError(f"budget exceeded: {num_paths}^{n} = {total} states, budget {state_budget}")
 
     m = game.graph.num_layers
-    if game.graph.all_unit_capacity and _times_fit_int64(game):
+    if game.graph.all_unit_capacity() and _times_fit_int64(game):
         rows = _unit_arrival_tables(game, paths)
     else:
         rows = _loaded_arrival_tables(game, paths, total)

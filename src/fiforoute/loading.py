@@ -1,18 +1,20 @@
 """Discrete-time FIFO network loading: map a strategy profile to its full timeline."""
 from __future__ import annotations
 
-import heapq
 from array import array
 from bisect import bisect_left, bisect_right
-from collections import deque
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, fields
+from functools import cached_property
+from itertools import accumulate
+from operator import itemgetter, sub
 from typing import Iterator
 
-from .model import Edge, FifoRouteError, Game, State, validate_game, validate_state
+from .model import Edge, FifoRouteError, Game, LinearMultigraph, State, validate_game, validate_state
 
 
 class LoadingError(FifoRouteError):
-    """Game/state mismatch or a simulation that overran its horizon guard."""
+    """Game/state mismatch, or a trace asked of a loading run without one."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -42,22 +44,20 @@ class EdgeLog:
 class LoadingResult:
     """Complete deterministic timeline of one network loading.
 
-    waiting[i][j] / latency[i][j] refer to 0-based player i on the j-th layer
-    of its path; arrivals[j][i] is the time player i reaches node v_j (node 0
-    holds the starting pattern); completions mirror the last node. queue_sum
-    data is sparse over event times; use the queue_sum() helper for lookups.
+    arrivals[j][i] is the time player i reaches node v_j (node 0 holds the
+    starting pattern); completions mirror the last node. waiting[i][j] /
+    latency[i][j] refer to 0-based player i on the j-th layer of its path and
+    are derived from the arrivals on first use. The queue sum series is
+    sparse over event times and derived from the edge logs on first use; use
+    the queue_sum() helper for lookups.
     """
 
     game: Game
     state: State
-    waiting: tuple[tuple[int, ...], ...]
-    latency: tuple[tuple[int, ...], ...]
     arrivals: tuple[tuple[int, ...], ...]
     completions: tuple[int, ...]
     makespan: int
     edge_logs: dict[tuple[int, int], EdgeLog]
-    queue_sum_times: tuple[int, ...]
-    queue_sum_values: tuple[int, ...]
     trace: tuple[TraceEvent, ...] | None = None
     queue_trace: dict[tuple[int, int], dict[int, tuple[int, ...]]] | None = None
 
@@ -66,6 +66,48 @@ class LoadingResult:
         if key not in self.edge_logs:
             return _EMPTY_LOG
         return self.edge_logs[key]
+
+    def __getstate__(self) -> dict:
+        # the fields only: reading a derived value must not change what a
+        # pickle of the result holds; it is derived again after unpickling
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def latency(self) -> tuple[tuple[int, ...], ...]:
+        """Time each player spends on each layer: waiting plus transit."""
+        arr = self.arrivals
+        return tuple(zip(*(map(sub, b, a) for a, b in zip(arr, arr[1:]))))
+
+    @cached_property
+    def waiting(self) -> tuple[tuple[int, ...], ...]:
+        """Time each player spends queued on each layer."""
+        taus = [[e.transit for e in layer] for layer in self.game.graph.layers]
+        return tuple(
+            tuple(lat - taus[j][idx - 1] for j, (lat, idx) in enumerate(zip(row, path.edge_indices)))
+            for row, path in zip(self.latency, self.state.paths)
+        )
+
+    @property
+    def queue_sum_times(self) -> tuple[int, ...]:
+        """Event times: every t at which some player is in a queue after joining."""
+        return self._queue_series[0]
+
+    @property
+    def queue_sum_values(self) -> tuple[int, ...]:
+        """Players queued anywhere after the removal step, at each event time."""
+        return self._queue_series[1]
+
+    @cached_property
+    def _queue_series(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        # A non-empty queue releases someone at every step, so the times at
+        # which anyone is queued are exactly the entry and departure times.
+        joins: Counter = Counter()
+        leaves: Counter = Counter()
+        for log in self.edge_logs.values():
+            joins.update(log.entries)
+            leaves.update(log.departs)
+        times = sorted(joins.keys() | leaves.keys())
+        return tuple(times), tuple(accumulate(joins[t] - leaves[t] for t in times))
 
 
 _EMPTY_LOG = EdgeLog(array("q"), array("q"), array("q"))
@@ -79,15 +121,23 @@ def load(
     queue_trace: bool = False,
     _validate: bool = True,
 ) -> LoadingResult:
-    """Run the loading loop: at each time, enqueue released players, then serve queues.
+    """Load a profile one network layer at a time.
 
-    At every integer time t, players released from their previous edge at
-    t - transit(previous) join their next edge's queue (players starting at t
-    join their first edge), ordered by (arrival time at the edge, player
-    index); then every non-empty queue releases its first min(capacity, len)
-    players, each reaching the edge head at t + transit. Iterates only over
-    event times; the result is fully deterministic. `_validate=False` skips
-    input validation for callers that already checked (bulk enumeration).
+    At every integer time, the players that reach an edge's tail join its
+    queue, ordered by (arrival time, player index), and the queue then
+    releases its first `capacity` players, each reaching the edge's head one
+    transit later. On a chain, arrivals at v_j depend only on arrivals at
+    v_{j-1} and the choices on layer j, so each layer is one sweep over its
+    players in that FIFO order: the q-th entrant of a capacity-c edge, who
+    arrives at a_q, departs at d_q = max(a_q, d_{q-c} + 1), or at a_q when
+    fewer than c players entered before it (Lindley's recursion, with the
+    c servers of a wide edge taken by FIFO rank mod c).
+
+    The per-edge logs are filled in FIFO order by the sweep. The queue sum
+    series is derived from them on first use; `trace` and `queue_trace`
+    derive the event trace and the per-edge queue snapshots from them too.
+    `_validate=False` skips input validation for callers that already
+    checked (bulk enumeration).
     """
     if _validate:
         bad = validate_game(game)
@@ -98,156 +148,80 @@ def load(
             raise LoadingError("state does not fit game: " + "; ".join(bad))
 
     graph = game.graph
-    m = graph.num_layers
     n = game.n
+    paths = state.paths
+    logs: dict[tuple[int, int], EdgeLog] = {}
+    arr = list(game.start_times())
+    arrivals = [tuple(arr)]
+    for j, layer in enumerate(graph.layers):
+        col = [p.edge_indices[j] - 1 for p in paths]
+        taus = [e.transit for e in layer]
+        caps = [e.capacity for e in layer]
+        entries = [array("q") for _ in layer]
+        departs = [array("q") for _ in layer]
+        players = [array("q") for _ in layer]
+        nxt = [0] * n
+        for i in sorted(range(n), key=arr.__getitem__):  # stable: ties by index
+            a = arr[i]
+            e = col[i]
+            dep = departs[e]
+            c = caps[e]
+            d = a
+            if len(dep) >= c:
+                d = dep[-c] + 1
+                if d < a:
+                    d = a
+            entries[e].append(a)
+            dep.append(d)
+            players[e].append(i)
+            nxt[i] = d + taus[e]
+        for e, edge in enumerate(layer):
+            if players[e]:
+                logs[(edge.layer, edge.index_in_layer)] = EdgeLog(entries[e], departs[e], players[e])
+        arrivals.append(tuple(nxt))
+        arr = nxt
 
-    # flat edge ids for speed
-    offsets = []
-    total = 0
-    for layer in graph.layers:
-        offsets.append(total)
-        total += len(layer)
-    taus = array("q", (e.transit for layer in graph.layers for e in layer))
-    caps = array("q", (e.capacity for layer in graph.layers for e in layer))
-    keys = [(e.layer, e.index_in_layer) for layer in graph.layers for e in layer]
-
-    # player routes as flat edge ids
-    routes = [
-        array("q", (offsets[j] + idx - 1 for j, idx in enumerate(p.edge_indices)))
-        for p in state.paths
-    ]
-
-    starts = game.start_times()
-    max_route = max((sum(taus[eid] for eid in r) for r in routes), default=0)
-    guard = (max(starts) if starts else 0) + n * max_route
-
-    waiting = [[0] * m for _ in range(n)]
-    arrivals: list[list[int]] = [[0] * n for _ in range(m + 1)]
-    arrivals[0] = list(starts)
-
-    log_entries = [array("q") for _ in range(total)]
-    log_departs = [array("q") for _ in range(total)]
-    log_players = [array("q") for _ in range(total)]
-
-    queues: list[deque] = [deque() for _ in range(total)]
-    entry_at: list[int] = [0] * n  # time the player joined its current queue
-    layer_of: list[int] = [0] * n  # 0-based layer the player currently queues on
-
-    joiners: dict[int, dict[int, list[int]]] = {}
-    for i, t0 in enumerate(starts):
-        joiners.setdefault(t0, {}).setdefault(routes[i][0], []).append(i)
-
-    heap = sorted(joiners)
-    heapq.heapify(heap)
-    scheduled = set(heap)
-
-    qsum = 0
-    qsum_times: list[int] = []
-    qsum_values: list[int] = []
-    live: set[int] = set()
-    rows: list[TraceEvent] = []
-    qtrace: dict[int, dict[int, tuple[int, ...]]] = {} if queue_trace else {}
-
-    while heap:
-        t = heapq.heappop(heap)
-        scheduled.discard(t)
-        if t > guard:
-            raise LoadingError(f"loading exceeded horizon guard at t={t} (bound {guard})")
-
-        touched: set[int] = set()
-        js = joiners.pop(t, None)
-        if js is not None:
-            for eid in sorted(js):
-                group = js[eid]
-                if len(group) > 1:
-                    group.sort()  # same arrival time: lower player index first
-                q = queues[eid]
-                for i in group:
-                    q.append(i)
-                    entry_at[i] = t
-                    log_entries[eid].append(t)
-                if trace:
-                    layer, idx = keys[eid]
-                    rows.extend(TraceEvent(t, layer, idx, "enqueue", i + 1) for i in group)
-                qsum += len(group)
-                live.add(eid)
-                touched.add(eid)
-
-        for eid in sorted(live):
-            q = queues[eid]
-            served = caps[eid]
-            if served > len(q):
-                served = len(q)
-            tau = taus[eid]
-            head = t + tau
-            for _ in range(served):
-                i = q.popleft()
-                j = layer_of[i]
-                waiting[i][j] = t - entry_at[i]
-                arrivals[j + 1][i] = head
-                log_departs[eid].append(t)
-                log_players[eid].append(i)
-                if trace:
-                    layer, idx = keys[eid]
-                    rows.append(TraceEvent(t, layer, idx, "depart", i + 1))
-                    rows.append(TraceEvent(head, layer, idx, "arrive", i + 1))
-                if j + 1 < m:
-                    layer_of[i] = j + 1
-                    nxt = routes[i][j + 1]
-                    bucket = joiners.get(head)
-                    if bucket is None:
-                        joiners[head] = {nxt: [i]}
-                        if head not in scheduled:
-                            heapq.heappush(heap, head)
-                            scheduled.add(head)
-                    else:
-                        bucket.setdefault(nxt, []).append(i)
-            qsum -= served
-            if served:
-                touched.add(eid)
-        drained = [eid for eid in live if not queues[eid]]
-        for eid in drained:
-            live.discard(eid)
-        if live and t + 1 not in scheduled:
-            heapq.heappush(heap, t + 1)
-            scheduled.add(t + 1)
-
-        qsum_times.append(t)
-        qsum_values.append(qsum)
-        if queue_trace:
-            for eid in touched:
-                qtrace.setdefault(eid, {})[t] = tuple(i + 1 for i in queues[eid])
-
-    if live or any(queues[eid] for eid in range(total)):
-        raise LoadingError("loading ended with players still queued")  # pragma: no cover
-
-    latency = tuple(
-        tuple(
-            waiting[i][j] + taus[routes[i][j]] for j in range(m)
-        )
-        for i in range(n)
-    )
-    completions = tuple(arrivals[m])
-    logs = {
-        keys[eid]: EdgeLog(log_entries[eid], log_departs[eid], log_players[eid])
-        for eid in range(total)
-        if len(log_players[eid])
-    }
-    result = LoadingResult(
+    completions = arrivals[-1]
+    return LoadingResult(
         game=game,
         state=state,
-        waiting=tuple(tuple(row) for row in waiting),
-        latency=latency,
-        arrivals=tuple(tuple(row) for row in arrivals),
+        arrivals=tuple(arrivals),
         completions=completions,
         makespan=max(completions),
         edge_logs=logs,
-        queue_sum_times=tuple(qsum_times),
-        queue_sum_values=tuple(qsum_values),
-        trace=tuple(sorted(rows, key=lambda r: r.time)) if trace else None,
-        queue_trace={keys[eid]: snap for eid, snap in qtrace.items()} if queue_trace else None,
+        trace=_trace(graph, logs) if trace else None,
+        queue_trace=_queue_trace(logs) if queue_trace else None,
     )
-    return result
+
+
+def _trace(graph: LinearMultigraph, logs: dict[tuple[int, int], EdgeLog]) -> tuple[TraceEvent, ...]:
+    """The event trace in time order. Within one time come first the
+    arrivals at edge heads (by departure time, edge, FIFO rank), then the
+    enqueues (by edge, player), then the departures (by edge, FIFO rank)."""
+    rows = []
+    for (layer, idx), log in logs.items():
+        tau = graph.edge(layer, idx).transit
+        for rank, (a, d, i) in enumerate(zip(log.entries, log.departs, log.players)):
+            p = i + 1
+            rows.append(((d + tau, 0, d, layer, idx, rank), TraceEvent(d + tau, layer, idx, "arrive", p)))
+            rows.append(((a, 1, layer, idx, p), TraceEvent(a, layer, idx, "enqueue", p)))
+            rows.append(((d, 2, layer, idx, rank), TraceEvent(d, layer, idx, "depart", p)))
+    rows.sort(key=itemgetter(0))
+    return tuple(event for _, event in rows)
+
+
+def _queue_trace(logs: dict[tuple[int, int], EdgeLog]) -> dict[tuple[int, int], dict[int, tuple[int, ...]]]:
+    """Per edge, its queue (1-based players in FIFO order) after the removal
+    step at every time someone joins or leaves it."""
+    out = {}
+    for key, log in logs.items():
+        snaps = {}
+        for t in sorted(set(log.entries) | set(log.departs)):
+            lo = bisect_right(log.departs, t)
+            hi = bisect_right(log.entries, t)
+            snaps[t] = tuple(i + 1 for i in log.players[lo:hi])
+        out[key] = snaps
+    return out
 
 
 def workload(result: LoadingResult, edge: Edge, t: int) -> int:

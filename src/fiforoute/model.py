@@ -195,8 +195,8 @@ def validate_state(game: Game, state: State) -> list[str]:
             problems.append(f"player {i}: path has {len(path.edge_indices)} layers, graph has {len(sizes)}")
             continue
         for j, (idx, size) in enumerate(zip(path.edge_indices, sizes), start=1):
-            if not 1 <= idx <= size:
-                problems.append(f"player {i}: layer {j} has no edge {idx}")
+            if type(idx) is not int or not 1 <= idx <= size:  # plain ints only, no bools
+                problems.append(f"player {i}: layer {j} has no edge {idx!r}")
     return problems
 
 
@@ -268,16 +268,30 @@ def game_from_dict(data: dict) -> Game:
         n = data["n"]
     except KeyError as missing:
         raise ModelError(f"game file missing key {missing}") from None
-    if not isinstance(transits, list) or not all(isinstance(row, list) for row in transits):
+    if not _is_int_rows(transits):
         raise ModelError("'layers' must be a list of integer lists")
-    if not isinstance(n, int) or isinstance(n, bool):
+    if not _is_int(n):
         raise ModelError("'n' must be an integer")
     capacities = data.get("capacities")
+    if capacities is not None and not _is_int_rows(capacities):
+        raise ModelError("'capacities' must be a list of integer lists")
     graph = LinearMultigraph.from_transits(transits, capacities)
     pattern = data.get("starting_pattern")
     if pattern is not None:
+        if not isinstance(pattern, list) or not all(map(_is_int, pattern)):
+            raise ModelError("'starting_pattern' must be a list of integers")
         pattern = tuple(pattern)
     return Game(graph, n, pattern)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_rows(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(row, list) and all(map(_is_int, row)) for row in value
+    )
 
 
 def state_to_dict(state: State) -> dict:

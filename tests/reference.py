@@ -1,11 +1,19 @@
-"""Deliberately naive reference loader used as an independent oracle in tests.
+"""Reference loaders used as independent oracles in tests.
 
-Steps through every integer time unit with plain dict/list queues, no event
-scheduling, no incremental bookkeeping. Slow but obviously correct.
+`naive_load` steps through every integer time unit with plain dict/list
+queues, no event scheduling, no incremental bookkeeping. Slow but obviously
+correct. `heap_load` is the event-driven loop the library shipped before the
+layer sweep: it records every `LoadingResult` field while simulating, so it
+pins the sweep's derived logs, traces and queue series field by field.
 """
 from __future__ import annotations
 
-from fiforoute import Game, State
+import heapq
+from array import array
+from collections import deque
+from dataclasses import dataclass
+
+from fiforoute import EdgeLog, Game, State, TraceEvent
 
 
 def naive_load(game: Game, state: State):
@@ -77,4 +85,151 @@ def naive_load(game: Game, state: State):
         completions,
         max(completions),
         queue_sums,
+    )
+
+
+@dataclass(frozen=True)
+class HeapLoading:
+    """Every field of a LoadingResult, as recorded by the event loop."""
+
+    waiting: tuple[tuple[int, ...], ...]
+    latency: tuple[tuple[int, ...], ...]
+    arrivals: tuple[tuple[int, ...], ...]
+    completions: tuple[int, ...]
+    makespan: int
+    edge_logs: dict[tuple[int, int], EdgeLog]
+    queue_sum_times: tuple[int, ...]
+    queue_sum_values: tuple[int, ...]
+    trace: tuple[TraceEvent, ...] | None
+    queue_trace: dict[tuple[int, int], dict[int, tuple[int, ...]]] | None
+
+
+def heap_load(game: Game, state: State, *, trace: bool = False, queue_trace: bool = False) -> HeapLoading:
+    """Event-heap loading loop: enqueue released players, then serve queues.
+
+    At every event time t, players released from their previous edge at
+    t - transit(previous) join their next edge's queue (players starting at t
+    join their first edge), ordered by (arrival time at the edge, player
+    index); then every non-empty queue releases its first min(capacity, len)
+    players, each reaching the edge head at t + transit. The heap holds only
+    times at which someone joins or a queue is still non-empty.
+    """
+    graph = game.graph
+    m = graph.num_layers
+    n = game.n
+
+    offsets = []
+    total = 0
+    for layer in graph.layers:
+        offsets.append(total)
+        total += len(layer)
+    taus = array("q", (e.transit for layer in graph.layers for e in layer))
+    caps = array("q", (e.capacity for layer in graph.layers for e in layer))
+    keys = [(e.layer, e.index_in_layer) for layer in graph.layers for e in layer]
+    routes = [
+        array("q", (offsets[j] + idx - 1 for j, idx in enumerate(p.edge_indices)))
+        for p in state.paths
+    ]
+
+    starts = game.start_times()
+    waiting = [[0] * m for _ in range(n)]
+    arrivals: list[list[int]] = [[0] * n for _ in range(m + 1)]
+    arrivals[0] = list(starts)
+
+    log_entries = [array("q") for _ in range(total)]
+    log_departs = [array("q") for _ in range(total)]
+    log_players = [array("q") for _ in range(total)]
+
+    queues: list[deque] = [deque() for _ in range(total)]
+    entry_at: list[int] = [0] * n  # time the player joined its current queue
+    layer_of: list[int] = [0] * n  # 0-based layer the player currently queues on
+
+    joiners: dict[int, dict[int, list[int]]] = {}
+    for i, t0 in enumerate(starts):
+        joiners.setdefault(t0, {}).setdefault(routes[i][0], []).append(i)
+
+    heap = sorted(joiners)
+    heapq.heapify(heap)
+    scheduled = set(heap)
+
+    qsum = 0
+    qsum_times: list[int] = []
+    qsum_values: list[int] = []
+    live: set[int] = set()
+    rows: list[TraceEvent] = []
+    qtrace: dict[int, dict[int, tuple[int, ...]]] = {}
+
+    while heap:
+        t = heapq.heappop(heap)
+        scheduled.discard(t)
+
+        touched: set[int] = set()
+        js = joiners.pop(t, None)
+        if js is not None:
+            for eid in sorted(js):
+                group = sorted(js[eid])  # same arrival time: lower player index first
+                q = queues[eid]
+                for i in group:
+                    q.append(i)
+                    entry_at[i] = t
+                    log_entries[eid].append(t)
+                if trace:
+                    layer, idx = keys[eid]
+                    rows.extend(TraceEvent(t, layer, idx, "enqueue", i + 1) for i in group)
+                qsum += len(group)
+                live.add(eid)
+                touched.add(eid)
+
+        for eid in sorted(live):
+            q = queues[eid]
+            served = min(caps[eid], len(q))
+            head = t + taus[eid]
+            for _ in range(served):
+                i = q.popleft()
+                j = layer_of[i]
+                waiting[i][j] = t - entry_at[i]
+                arrivals[j + 1][i] = head
+                log_departs[eid].append(t)
+                log_players[eid].append(i)
+                if trace:
+                    layer, idx = keys[eid]
+                    rows.append(TraceEvent(t, layer, idx, "depart", i + 1))
+                    rows.append(TraceEvent(head, layer, idx, "arrive", i + 1))
+                if j + 1 < m:
+                    layer_of[i] = j + 1
+                    joiners.setdefault(head, {}).setdefault(routes[i][j + 1], []).append(i)
+                    if head not in scheduled:
+                        heapq.heappush(heap, head)
+                        scheduled.add(head)
+            qsum -= served
+            if served:
+                touched.add(eid)
+        live = {eid for eid in live if queues[eid]}
+        if live and t + 1 not in scheduled:
+            heapq.heappush(heap, t + 1)
+            scheduled.add(t + 1)
+
+        qsum_times.append(t)
+        qsum_values.append(qsum)
+        if queue_trace:
+            for eid in touched:
+                qtrace.setdefault(eid, {})[t] = tuple(i + 1 for i in queues[eid])
+
+    assert not any(queues), "reference loader ended with players still queued"
+    completions = tuple(arrivals[m])
+    return HeapLoading(
+        waiting=tuple(tuple(row) for row in waiting),
+        latency=tuple(tuple(waiting[i][j] + taus[routes[i][j]] for j in range(m)) for i in range(n)),
+        arrivals=tuple(tuple(row) for row in arrivals),
+        completions=completions,
+        makespan=max(completions),
+        edge_logs={
+            keys[eid]: EdgeLog(log_entries[eid], log_departs[eid], log_players[eid])
+            for eid in range(total)
+            if len(log_players[eid])
+        },
+        queue_sum_times=tuple(qsum_times),
+        queue_sum_values=tuple(qsum_values),
+        trace=tuple(sorted(rows, key=lambda r: r.time)) if trace else None,
+        queue_trace={keys[eid]: snap for eid, snap in qtrace.items()} if queue_trace else None,
     )

@@ -31,6 +31,38 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+TWO_LAYER = {"layers": [[1, 2], [2]], "n": 3}
+TWO_LAYER_PATHS = {"paths": [[1, 1], [2, 1], [1, 1]]}
+
+
+@pytest.mark.parametrize(
+    "command, game, state, message",
+    [
+        ("load", {"layers": [[1, "2"], [2]], "n": 3}, TWO_LAYER_PATHS, "'layers'"),
+        ("load", TWO_LAYER, {"paths": [[1, 1], ["2", 1], [1, 1]]}, "has no edge '2'"),
+        ("load", dict(TWO_LAYER, starting_pattern=[0, "1", 2]), TWO_LAYER_PATHS, "'starting_pattern'"),
+        ("eq", {"layers": [[1, "2"], [2]], "n": 3}, None, "'layers'"),
+        ("eq", dict(TWO_LAYER, starting_pattern=[0, "1", 2]), None, "'starting_pattern'"),
+        ("opt", {"layers": [[1, "2"], [2]], "n": 3}, None, "'layers'"),
+        ("opt", dict(TWO_LAYER, starting_pattern=[0, "1", 2]), None, "'starting_pattern'"),
+        ("split", dict(TWO_LAYER, capacities=[[1, 0], [1]]), None, "capacity must be an integer >= 1"),
+    ],
+    ids=["load-layers", "load-paths", "load-pattern", "eq-layers", "eq-pattern", "opt-layers", "opt-pattern", "split-capacity"],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, command, game, state, message):
+    g = tmp_path / "game.json"
+    g.write_text(json.dumps(game))
+    argv = [command, str(g)]
+    if state is not None:
+        s = tmp_path / "state.json"
+        s.write_text(json.dumps(state))
+        argv.append(str(s))
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and message in err
+
+
 def test_load_reports_arrivals(two_layer_files, capsys):
     g, s = two_layer_files
     code, out, _ = run(capsys, "load", g, s)

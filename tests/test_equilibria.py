@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from itertools import product
 
 import pytest
 
@@ -15,6 +16,7 @@ from fiforoute import (
     PathChoice,
     State,
     UfrWitness,
+    all_paths,
     enumerate_equilibria,
     is_ufr_equilibrium,
     load,
@@ -158,6 +160,20 @@ def test_enumerate_agrees_with_direct_check():
         states([], game.n)
         direct = {st for st in found if is_ufr_equilibrium(game, st) is True}
         assert direct == expected
+
+
+def test_enumerate_agrees_with_direct_check_on_capacitated_corpus(cap_corpus):
+    # every game of the corpus with at most 256 states, capacities up to 3
+    checked = 0
+    for game in cap_corpus:
+        if game.num_paths() ** game.n > 256:
+            continue
+        expected = set(enumerate_equilibria(game))
+        for combo in product(all_paths(game.graph), repeat=game.n):
+            state = State(combo)
+            assert (is_ufr_equilibrium(game, state) is True) == (state in expected), (game, state)
+        checked += 1
+    assert checked > 700
 
 
 def test_worst_equilibrium_is_greedy(two_layer_game):

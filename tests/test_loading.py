@@ -1,7 +1,9 @@
-"""Loading loop semantics against worked values and a naive reference loader."""
+"""Loading semantics against worked values and the reference loaders."""
 from __future__ import annotations
 
+import pickle
 import random
+from dataclasses import fields
 
 import pytest
 
@@ -16,7 +18,9 @@ from fiforoute import (
     workload,
 )
 from conftest import random_capacitated_game, random_game, random_state
-from reference import naive_load
+from reference import HeapLoading, heap_load, naive_load
+
+LOADING_FIELDS = [f.name for f in fields(HeapLoading)]
 
 
 def test_worked_example_arrivals_and_waits(two_layer_game, two_layer_state):
@@ -52,6 +56,16 @@ def test_worked_example_queue_trace(two_layer_game, two_layer_state):
     for player in (1, 2, 3):
         for kind in ("enqueue", "depart", "arrive"):
             assert sum(1 for r in rows if r[3] == player and r[2] == kind) == 2
+
+
+def test_derived_values_do_not_change_the_pickle(two_layer_game, two_layer_state):
+    res = load(two_layer_game, two_layer_state)
+    before = pickle.dumps(res)
+    assert res.waiting and res.latency and res.queue_sum_times
+    assert pickle.dumps(res) == before
+    again = pickle.loads(before)
+    assert again == res
+    assert again.waiting == res.waiting and again.queue_sum_values == res.queue_sum_values
 
 
 def test_trace_disabled_raises(two_layer_game, two_layer_state):
@@ -133,6 +147,23 @@ def test_load_matches_naive_reference_capacitated():
         assert res.makespan == makespan
         for t, expected in ref_sums.items():
             assert queue_sum(res, t) == expected
+
+
+@pytest.mark.parametrize("corpus", ["fuzz_corpus", "cap_corpus"])
+def test_load_matches_reference_loaders_on_corpus(corpus, request):
+    # every LoadingResult field against the event-heap loop, and the
+    # arrivals and queue sums against the step-by-step loop
+    rng = random.Random(2024)
+    for game in request.getfixturevalue(corpus):
+        state = random_state(rng, game)
+        res = load(game, state, trace=True, queue_trace=True)
+        ref = heap_load(game, state, trace=True, queue_trace=True)
+        for name in LOADING_FIELDS:
+            assert getattr(res, name) == getattr(ref, name), (game, state, name)
+        arr, completions, makespan, ref_sums = naive_load(game, state)
+        assert (res.arrivals, res.completions, res.makespan) == (arr, completions, makespan)
+        for t, expected in ref_sums.items():
+            assert queue_sum(res, t) == expected, (game, state, t)
 
 
 def test_load_is_deterministic():
