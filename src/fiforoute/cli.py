@@ -20,7 +20,6 @@ from .equilibria import (
     is_ufr_equilibrium,
     parse_policy,
     sequential_equilibrium,
-    worst_equilibrium,
 )
 from .flows import check_flow_feasible, flow_to_dict, state_to_flow
 from .instances import SIMULATION_CAP, lower_bound_row
@@ -53,8 +52,8 @@ LOWERBOUND_COLUMNS = [
 ]
 
 
-def _emit(data: dict) -> None:
-    json.dump(data, sys.stdout, indent=2)
+def _emit(data: dict | list) -> None:
+    sys.stdout.write(json.dumps(data))  # dumps, unlike dump, runs the C encoder
     sys.stdout.write("\n")
 
 
@@ -67,7 +66,7 @@ def _trace_csv(result) -> None:
 def cmd_load(args: argparse.Namespace) -> int:
     game = load_game_file(args.game)
     state = load_state_file(args.state)
-    result = load(game, state, trace=args.trace)
+    result = load(game, state)
     if args.format == "csv":
         if not args.trace:
             raise FifoRouteError("csv output for load requires --trace")
@@ -116,7 +115,7 @@ def cmd_opt(args: argparse.Namespace) -> int:
 
 def cmd_poa(args: argparse.Namespace) -> int:
     game = load_game_file(args.game)
-    state = worst_equilibrium(game)
+    state = sequential_equilibrium(game)
     worst = load(game, state).makespan
     horizon = min_horizon(game)
     ratio = Fraction(worst, horizon)
@@ -135,8 +134,7 @@ def cmd_lowerbound(args: argparse.Namespace) -> int:
     indices = [args.i] if args.i is not None else list(args.i_range)
     rows = [lower_bound_row(i, mode=args.mode, cap=args.cap) for i in indices]
     if args.format == "json":
-        json.dump(rows, sys.stdout, indent=2)
-        sys.stdout.write("\n")
+        _emit(rows)
         return EXIT_OK
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(LOWERBOUND_COLUMNS)

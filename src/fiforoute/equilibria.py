@@ -7,7 +7,7 @@ from typing import Union
 
 import numpy as np
 
-from .loading import load
+from .loading import check_times_fit_int64, load
 from .model import (
     FifoRouteError,
     Game,
@@ -94,14 +94,10 @@ def sequential_equilibrium(game: Game, policy: TieBreakPolicy = GREEDY_QUEUE) ->
     at the player's arrival time is minimal given all lower-index players'
     fixed behavior; ties go to the policy. The ordering invariant (no player
     reaches any node before an earlier-indexed player) is asserted at every
-    step, and the returned state is an equilibrium.
+    step, and the returned state is an equilibrium. The default greedy-queue
+    policy gives the equilibrium of largest makespan.
     """
     return State(_construct(game, policy))
-
-
-def worst_equilibrium(game: Game) -> State:
-    """The greedy-queue equilibrium; its makespan majorizes every equilibrium's."""
-    return sequential_equilibrium(game, GREEDY_QUEUE)
 
 
 def _construct(game: Game, policy: TieBreakPolicy) -> tuple[PathChoice, ...]:
@@ -247,8 +243,9 @@ def enumerate_equilibria(game: Game, state_budget: int = DEFAULT_STATE_BUDGET) -
     Every deviation profile is itself a state, so one arrival table over the
     full mixed-radix state space answers all deviation queries: player i's
     state is an equilibrium iff its arrival row is the componentwise minimum
-    of the num_paths rows that differ only in i's digit. Unit-capacity games
-    get a vectorized table; capacitated ones pay one load per state.
+    of the num_paths rows that differ only in i's digit. The table is built
+    in int64 for every capacity; a game whose times could exceed that range
+    raises LoadingError.
     """
     if state_budget < 1:
         raise BudgetError("state budget must be positive")
@@ -262,11 +259,9 @@ def enumerate_equilibria(game: Game, state_budget: int = DEFAULT_STATE_BUDGET) -
     if total > state_budget:
         raise BudgetError(f"budget exceeded: {num_paths}^{n} = {total} states, budget {state_budget}")
 
+    check_times_fit_int64(game)
     m = game.graph.num_layers
-    if game.graph.all_unit_capacity() and _times_fit_int64(game):
-        rows = _unit_arrival_tables(game, paths)
-    else:
-        rows = _loaded_arrival_tables(game, paths, total)
+    rows = _arrival_tables(game, paths)
 
     good = np.ones(total, dtype=bool)
     weight = 1  # num_paths ** (n - 1 - i), player n-1 least significant
@@ -290,21 +285,16 @@ def enumerate_equilibria(game: Game, state_budget: int = DEFAULT_STATE_BUDGET) -
     return found
 
 
-def _times_fit_int64(game: Game) -> bool:
-    """Every arrival is bounded by start + sum of (max transit + n) per layer."""
-    bound = max(game.start_times()) + sum(
-        max(e.transit for e in layer) + game.n for layer in game.graph.layers
-    )
-    return bound < 2**62
-
-
-def _unit_arrival_tables(game: Game, paths: list[PathChoice]) -> np.ndarray:
+def _arrival_tables(game: Game, paths: list[PathChoice]) -> np.ndarray:
     """Arrivals of every player at every node, for all num_paths**n states at once.
 
     rows[sid, i, j] is player i's arrival at node v_{j+1} in state sid. Within
     one FIFO queue the entrant of rank q departs at q + max_{r <= q}(a_r - r),
     so sorting players by (arrival, index) and taking a per-edge running
     maximum over the sorted axis yields a whole layer in a few array passes.
+    A capacity-c edge serves as c unit copies, the entrant of FIFO rank q
+    taking copy q mod c, so the same recursion runs inside each copy with
+    the rank counted among that copy's entrants.
     """
     n = game.n
     m = game.graph.num_layers
@@ -326,29 +316,16 @@ def _unit_arrival_tables(game: Game, paths: list[PathChoice]) -> np.ndarray:
         for e, props in enumerate(game.graph.layers[j]):
             on_e = edge_s == e
             rank = np.cumsum(on_e, axis=1)
-            head = np.maximum.accumulate(np.where(on_e, arr_s - rank, low), axis=1)
-            np.copyto(depart, rank + head + props.transit, where=on_e)
+            c = props.capacity
+            if c == 1:
+                copies = (on_e,)
+            else:
+                slot = (rank - 1) % c
+                copies = (on_e & (slot == g) for g in range(min(c, n)))
+                rank = (rank - 1) // c + 1
+            for on_copy in copies:
+                head = np.maximum.accumulate(np.where(on_copy, arr_s - rank, low), axis=1)
+                np.copyto(depart, rank + head + props.transit, where=on_copy)
         np.put_along_axis(arr, order, depart, axis=1)
         rows[:, :, j] = arr
-    return rows
-
-
-def _loaded_arrival_tables(game: Game, paths: list[PathChoice], total: int) -> np.ndarray:
-    n = game.n
-    m = game.graph.num_layers
-    num_paths = len(paths)
-    rows = np.empty((total, n, m), dtype=np.int64)
-    assign = [0] * n
-    for sid in range(total):
-        if sid:
-            pos = n - 1
-            while True:  # mixed-radix increment, player 0 most significant
-                assign[pos] += 1
-                if assign[pos] < num_paths:
-                    break
-                assign[pos] = 0
-                pos -= 1
-        res = load(game, State(tuple(paths[p] for p in assign)), _validate=False)
-        for j in range(1, m + 1):
-            rows[sid, :, j - 1] = res.arrivals[j]
     return rows

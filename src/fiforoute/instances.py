@@ -142,6 +142,22 @@ def special_edge_indices(params: LowerBoundParams) -> dict[int, range]:
     }
 
 
+def _eq_makespan(
+    params: LowerBoundParams, game: Game, mode: str, policy: TieBreakPolicy, cap: int
+) -> tuple[int, str]:
+    """The equilibrium makespan of a lower-bound game, and its source."""
+    if mode == "simulate":
+        if params.n > cap:
+            raise InstanceError(
+                f"n = {params.n} exceeds the simulation cap {cap}; use analytic mode"
+            )
+        state = sequential_equilibrium(game, policy)
+        return load(game, state).makespan, "sim"
+    if mode == "analytic":
+        return eq_completion_closed_form(params), "formula"
+    raise InstanceError(f"unknown mode {mode!r} (expected simulate or analytic)")
+
+
 def pos_ratio(
     i: int,
     mode: str = "simulate",
@@ -156,17 +172,7 @@ def pos_ratio(
     """
     params = LowerBoundParams.for_index(i)
     game = gen_lower_bound_game(i)
-    if mode == "simulate":
-        if params.n > cap:
-            raise InstanceError(
-                f"n = {params.n} exceeds the simulation cap {cap}; use analytic mode"
-            )
-        state = sequential_equilibrium(game, policy)
-        eq_makespan = load(game, state).makespan
-    elif mode == "analytic":
-        eq_makespan = eq_completion_closed_form(params)
-    else:
-        raise InstanceError(f"unknown mode {mode!r} (expected simulate or analytic)")
+    eq_makespan, _ = _eq_makespan(params, game, mode, policy, cap)
     return Fraction(eq_makespan, min_horizon(game))
 
 
@@ -183,19 +189,7 @@ def lower_bound_row(i: int, mode: str = "simulate", cap: int = SIMULATION_CAP) -
     """One table row of the convergence report; exact fields plus decimal echoes."""
     params = LowerBoundParams.for_index(i)
     game = gen_lower_bound_game(i)
-    if mode == "simulate":
-        if params.n > cap:
-            raise InstanceError(
-                f"n = {params.n} exceeds the simulation cap {cap}; use analytic mode"
-            )
-        state = sequential_equilibrium(game, GREEDY_QUEUE)
-        eq_makespan = load(game, state).makespan
-        source = "sim"
-    elif mode == "analytic":
-        eq_makespan = eq_completion_closed_form(params)
-        source = "formula"
-    else:
-        raise InstanceError(f"unknown mode {mode!r} (expected simulate or analytic)")
+    eq_makespan, source = _eq_makespan(params, game, mode, GREEDY_QUEUE, cap)
     opt = min_horizon(game)
     ratio = Fraction(eq_makespan, opt)
     return {

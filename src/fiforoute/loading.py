@@ -10,11 +10,11 @@ from itertools import accumulate
 from operator import itemgetter, sub
 from typing import Iterator
 
-from .model import Edge, FifoRouteError, Game, LinearMultigraph, State, validate_game, validate_state
+from .model import Edge, FifoRouteError, Game, State, validate_game, validate_state
 
 
 class LoadingError(FifoRouteError):
-    """Game/state mismatch, or a trace asked of a loading run without one."""
+    """Invalid game, game/state mismatch, or times beyond the int64 range."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -47,8 +47,9 @@ class LoadingResult:
     arrivals[j][i] is the time player i reaches node v_j (node 0 holds the
     starting pattern); completions mirror the last node. waiting[i][j] /
     latency[i][j] refer to 0-based player i on the j-th layer of its path and
-    are derived from the arrivals on first use. The queue sum series is
-    sparse over event times and derived from the edge logs on first use; use
+    are derived from the arrivals on first use. The queue sum series, the
+    event trace and the per-edge queue snapshots are derived from the edge
+    logs on first use; the queue sum series is sparse over event times, use
     the queue_sum() helper for lookups.
     """
 
@@ -58,8 +59,6 @@ class LoadingResult:
     completions: tuple[int, ...]
     makespan: int
     edge_logs: dict[tuple[int, int], EdgeLog]
-    trace: tuple[TraceEvent, ...] | None = None
-    queue_trace: dict[tuple[int, int], dict[int, tuple[int, ...]]] | None = None
 
     def edge_log(self, layer: int, index: int) -> EdgeLog:
         key = (layer, index)
@@ -87,6 +86,37 @@ class LoadingResult:
             for row, path in zip(self.latency, self.state.paths)
         )
 
+    @cached_property
+    def trace(self) -> tuple[TraceEvent, ...]:
+        """The event trace in time order. Within one time come first the
+        arrivals at edge heads (by departure time, edge, FIFO rank), then the
+        enqueues (by edge, player), then the departures (by edge, FIFO rank)."""
+        graph = self.game.graph
+        rows = []
+        for (layer, idx), log in self.edge_logs.items():
+            tau = graph.edge(layer, idx).transit
+            for rank, (a, d, i) in enumerate(zip(log.entries, log.departs, log.players)):
+                p = i + 1
+                rows.append(((d + tau, 0, d, layer, idx, rank), TraceEvent(d + tau, layer, idx, "arrive", p)))
+                rows.append(((a, 1, layer, idx, p), TraceEvent(a, layer, idx, "enqueue", p)))
+                rows.append(((d, 2, layer, idx, rank), TraceEvent(d, layer, idx, "depart", p)))
+        rows.sort(key=itemgetter(0))
+        return tuple(event for _, event in rows)
+
+    @cached_property
+    def queue_trace(self) -> dict[tuple[int, int], dict[int, tuple[int, ...]]]:
+        """Per edge, its queue (1-based players in FIFO order) after the
+        removal step at every time someone joins or leaves it."""
+        out = {}
+        for key, log in self.edge_logs.items():
+            snaps = {}
+            for t in sorted(set(log.entries) | set(log.departs)):
+                lo = bisect_right(log.departs, t)
+                hi = bisect_right(log.entries, t)
+                snaps[t] = tuple(i + 1 for i in log.players[lo:hi])
+            out[key] = snaps
+        return out
+
     @property
     def queue_sum_times(self) -> tuple[int, ...]:
         """Event times: every t at which some player is in a queue after joining."""
@@ -113,14 +143,23 @@ class LoadingResult:
 _EMPTY_LOG = EdgeLog(array("q"), array("q"), array("q"))
 
 
-def load(
-    game: Game,
-    state: State,
-    *,
-    trace: bool = False,
-    queue_trace: bool = False,
-    _validate: bool = True,
-) -> LoadingResult:
+def check_times_fit_int64(game: Game) -> None:
+    """Raise LoadingError unless every time of every profile fits in int64.
+
+    Edge logs and enumeration tables hold times as int64. A player waits
+    fewer than n steps per layer, so no arrival exceeds the last player's
+    start (the game is valid, so starts are non-decreasing) plus, per layer,
+    the largest transit and n. That bound must stay below 2**62, half the
+    int64 range, which also covers intermediate sums.
+    """
+    bound = game.start_time(game.n - 1) + sum(
+        max(e.transit for e in layer) + game.n for layer in game.graph.layers
+    )
+    if bound >= 2**62:
+        raise LoadingError(f"times may reach {bound}, beyond the 2**62 limit of int64 time tables")
+
+
+def load(game: Game, state: State, *, _validate: bool = True) -> LoadingResult:
     """Load a profile one network layer at a time.
 
     At every integer time, the players that reach an edge's tail join its
@@ -133,16 +172,17 @@ def load(
     fewer than c players entered before it (Lindley's recursion, with the
     c servers of a wide edge taken by FIFO rank mod c).
 
-    The per-edge logs are filled in FIFO order by the sweep. The queue sum
-    series is derived from them on first use; `trace` and `queue_trace`
-    derive the event trace and the per-edge queue snapshots from them too.
-    `_validate=False` skips input validation for callers that already
-    checked (bulk enumeration).
+    The per-edge logs are filled in FIFO order by the sweep; the queue sum
+    series, the event trace and the queue snapshots are derived from them
+    on first use. Validation rejects invalid input with LoadingError, and
+    so a game whose times could exceed int64. `_validate=False` skips it
+    for callers that already checked (the deviation check's reloads).
     """
     if _validate:
         bad = validate_game(game)
         if bad:
             raise LoadingError("invalid game: " + "; ".join(bad))
+        check_times_fit_int64(game)
         bad = validate_state(game, state)
         if bad:
             raise LoadingError("state does not fit game: " + "; ".join(bad))
@@ -189,39 +229,7 @@ def load(
         completions=completions,
         makespan=max(completions),
         edge_logs=logs,
-        trace=_trace(graph, logs) if trace else None,
-        queue_trace=_queue_trace(logs) if queue_trace else None,
     )
-
-
-def _trace(graph: LinearMultigraph, logs: dict[tuple[int, int], EdgeLog]) -> tuple[TraceEvent, ...]:
-    """The event trace in time order. Within one time come first the
-    arrivals at edge heads (by departure time, edge, FIFO rank), then the
-    enqueues (by edge, player), then the departures (by edge, FIFO rank)."""
-    rows = []
-    for (layer, idx), log in logs.items():
-        tau = graph.edge(layer, idx).transit
-        for rank, (a, d, i) in enumerate(zip(log.entries, log.departs, log.players)):
-            p = i + 1
-            rows.append(((d + tau, 0, d, layer, idx, rank), TraceEvent(d + tau, layer, idx, "arrive", p)))
-            rows.append(((a, 1, layer, idx, p), TraceEvent(a, layer, idx, "enqueue", p)))
-            rows.append(((d, 2, layer, idx, rank), TraceEvent(d, layer, idx, "depart", p)))
-    rows.sort(key=itemgetter(0))
-    return tuple(event for _, event in rows)
-
-
-def _queue_trace(logs: dict[tuple[int, int], EdgeLog]) -> dict[tuple[int, int], dict[int, tuple[int, ...]]]:
-    """Per edge, its queue (1-based players in FIFO order) after the removal
-    step at every time someone joins or leaves it."""
-    out = {}
-    for key, log in logs.items():
-        snaps = {}
-        for t in sorted(set(log.entries) | set(log.departs)):
-            lo = bisect_right(log.departs, t)
-            hi = bisect_right(log.entries, t)
-            snaps[t] = tuple(i + 1 for i in log.players[lo:hi])
-        out[key] = snaps
-    return out
 
 
 def workload(result: LoadingResult, edge: Edge, t: int) -> int:
@@ -254,7 +262,5 @@ def queue_sum(result: LoadingResult, t: int) -> int:
 
 def trace_rows(result: LoadingResult) -> Iterator[tuple[int, str, str, int]]:
     """Trace rows as (time, "layer:index", event, player) tuples for CSV export."""
-    if result.trace is None:
-        raise LoadingError("loading was run without trace recording")
     for ev in result.trace:
         yield ev.time, f"{ev.layer}:{ev.edge_index}", ev.event, ev.player

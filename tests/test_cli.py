@@ -33,6 +33,7 @@ def run(capsys, *argv):
 
 TWO_LAYER = {"layers": [[1, 2], [2]], "n": 3}
 TWO_LAYER_PATHS = {"paths": [[1, 1], [2, 1], [1, 1]]}
+HUGE_START = {"layers": [[1]], "n": 2, "starting_pattern": [2**63 - 1, 2**63 - 1]}
 
 
 @pytest.mark.parametrize(
@@ -46,8 +47,14 @@ TWO_LAYER_PATHS = {"paths": [[1, 1], [2, 1], [1, 1]]}
         ("opt", {"layers": [[1, "2"], [2]], "n": 3}, None, "'layers'"),
         ("opt", dict(TWO_LAYER, starting_pattern=[0, "1", 2]), None, "'starting_pattern'"),
         ("split", dict(TWO_LAYER, capacities=[[1, 0], [1]]), None, "capacity must be an integer >= 1"),
+        ("load", HUGE_START, {"paths": [[1], [1]]}, "int64"),
+        ("eq", HUGE_START, None, "int64"),
+        ("enumerate", HUGE_START, None, "int64"),
     ],
-    ids=["load-layers", "load-paths", "load-pattern", "eq-layers", "eq-pattern", "opt-layers", "opt-pattern", "split-capacity"],
+    ids=[
+        "load-layers", "load-paths", "load-pattern", "eq-layers", "eq-pattern", "opt-layers", "opt-pattern",
+        "split-capacity", "load-huge-start", "eq-huge-start", "enumerate-huge-start",
+    ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, command, game, state, message):
     g = tmp_path / "game.json"

@@ -23,9 +23,8 @@ from fiforoute import (
     parse_policy,
     seeded,
     sequential_equilibrium,
-    worst_equilibrium,
 )
-from conftest import random_game, random_pattern
+from conftest import random_capacitated_game, random_game, random_pattern, random_state
 
 
 def test_policy_names_round_trip():
@@ -176,8 +175,21 @@ def test_enumerate_agrees_with_direct_check_on_capacitated_corpus(cap_corpus):
     assert checked > 700
 
 
-def test_worst_equilibrium_is_greedy(two_layer_game):
-    assert worst_equilibrium(two_layer_game) == sequential_equilibrium(two_layer_game, GREEDY_QUEUE)
+def test_start_times_shifted_by_2_pow_60():
+    # every arrival moves by exactly the shift and the equilibria stay the same,
+    # with and without capacities; a step-by-step loader could not run this
+    rng = random.Random(60)
+    shift = 2**60
+    for k in range(60):
+        game = random_capacitated_game(rng) if k % 2 else random_game(rng, with_pattern=rng.random() < 0.5)
+        if game.num_paths() ** game.n > 1000:
+            continue
+        far = Game(game.graph, game.n, tuple(t + shift for t in game.start_times()))
+        state = random_state(rng, game)
+        near_rows = load(game, state).arrivals
+        far_rows = load(far, state).arrivals
+        assert far_rows == tuple(tuple(t + shift for t in row) for row in near_rows), game
+        assert enumerate_equilibria(far) == enumerate_equilibria(game), game
 
 
 def test_arrival_order_matches_player_order():

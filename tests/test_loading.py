@@ -45,7 +45,7 @@ def test_worked_example_workloads(two_layer_game, two_layer_state):
 
 
 def test_worked_example_queue_trace(two_layer_game, two_layer_state):
-    res = load(two_layer_game, two_layer_state, trace=True)
+    res = load(two_layer_game, two_layer_state)
     rows = list(trace_rows(res))
     assert rows[0] == (0, "1:1", "enqueue", 1)
     assert (3, "2:1", "depart", 3) in rows
@@ -61,17 +61,12 @@ def test_worked_example_queue_trace(two_layer_game, two_layer_state):
 def test_derived_values_do_not_change_the_pickle(two_layer_game, two_layer_state):
     res = load(two_layer_game, two_layer_state)
     before = pickle.dumps(res)
-    assert res.waiting and res.latency and res.queue_sum_times
+    assert res.waiting and res.latency and res.queue_sum_times and res.trace and res.queue_trace
     assert pickle.dumps(res) == before
     again = pickle.loads(before)
     assert again == res
     assert again.waiting == res.waiting and again.queue_sum_values == res.queue_sum_values
-
-
-def test_trace_disabled_raises(two_layer_game, two_layer_state):
-    res = load(two_layer_game, two_layer_state)
-    with pytest.raises(LoadingError, match="trace"):
-        list(trace_rows(res))
+    assert again.trace == res.trace and again.queue_trace == res.queue_trace
 
 
 def test_nine_player_completions(nine_player_game, nine_player_state):
@@ -156,7 +151,7 @@ def test_load_matches_reference_loaders_on_corpus(corpus, request):
     rng = random.Random(2024)
     for game in request.getfixturevalue(corpus):
         state = random_state(rng, game)
-        res = load(game, state, trace=True, queue_trace=True)
+        res = load(game, state)
         ref = heap_load(game, state, trace=True, queue_trace=True)
         for name in LOADING_FIELDS:
             assert getattr(res, name) == getattr(ref, name), (game, state, name)
@@ -170,8 +165,8 @@ def test_load_is_deterministic():
     rng = random.Random(77)
     game = random_game(rng)
     state = random_state(rng, game)
-    a = load(game, state, trace=True)
-    b = load(game, state, trace=True)
+    a = load(game, state)
+    b = load(game, state)
     assert a.arrivals == b.arrivals
     assert list(trace_rows(a)) == list(trace_rows(b))
 
