@@ -7,7 +7,7 @@ from typing import Union
 
 import numpy as np
 
-from .loading import check_times_fit_int64, load
+from .loading import arrival_sweep, check_times_fit_int64, load
 from .model import (
     FifoRouteError,
     Game,
@@ -117,7 +117,8 @@ def _construct(game: Game, policy: TieBreakPolicy) -> tuple[PathChoice, ...]:
     # to the first one >= the current entry time. Entry times on a layer are
     # arrivals at its tail node, which the invariant below keeps
     # non-decreasing in player index, so every head only moves forward and
-    # the queue a player finds is len(departs) - head.
+    # the queue a player finds is len(departs) - head. Departures follow
+    # arrival_sweep's rule: max(t, d[-c] + 1) once c players entered before.
     layer_taus = [[e.transit for e in layer] for layer in graph.layers]
     layer_caps = [[e.capacity for e in layer] for layer in graph.layers]
     departs: list[list[list[int]]] = [[[] for _ in layer] for layer in graph.layers]
@@ -172,13 +173,10 @@ def _construct(game: Game, policy: TieBreakPolicy) -> tuple[PathChoice, ...]:
                 best = ties[rng.randrange(len(ties))]
 
             d = dep[best]
-            queued = len(d) - head[best]
-            if not queued:
-                out = t
-            elif caps[best] == 1:
-                out = d[-1] + 1
-            else:
-                out = t + queued // caps[best]
+            c = caps[best]
+            out = t
+            if len(d) >= c and d[-c] >= t:
+                out = d[-c] + 1
             d.append(out)
             t = out + taus[best]
             if t < last_node_arrival[j + 1]:
@@ -202,9 +200,11 @@ def is_ufr_equilibrium(
 ) -> Union[bool, UfrWitness]:
     """Exact deviation check: True, or the first witness in (player, path, node) order.
 
-    For every player and every alternative path, the profile with only that
-    player's path replaced is reloaded and the player's arrival times at every
-    node are compared; any strictly earlier arrival disproves equilibrium.
+    The game and the state are validated once, by the base load. Then, for
+    every player and every alternative path, the profile with only that
+    player's path replaced is swept again (arrival_sweep) and the player's
+    arrival times at every node are compared; any strictly earlier arrival
+    disproves equilibrium.
     """
     if path_budget < 1:
         raise BudgetError("path budget must be positive")
@@ -213,7 +213,7 @@ def is_ufr_equilibrium(
         raise BudgetError(
             f"instance too large for exact check: {num_paths} paths per player, budget {path_budget}"
         )
-    base = load(game, state)
+    base = load(game, state).arrivals
     alternatives = all_paths(game.graph)
     m = game.graph.num_layers
     paths = list(state.paths)
@@ -223,15 +223,14 @@ def is_ufr_equilibrium(
             if alt == own:
                 continue
             paths[i] = alt
-            res = load(game, State(tuple(paths)), _validate=False)
+            arrivals = arrival_sweep(game, paths)
             for j in range(1, m + 1):
-                if res.arrivals[j][i] < base.arrivals[j][i]:
-                    paths[i] = own
+                if arrivals[j][i] < base[j][i]:
                     return UfrWitness(
                         player=i + 1,
                         node=j,
                         deviation=alt,
-                        improved_arrival=res.arrivals[j][i],
+                        improved_arrival=arrivals[j][i],
                     )
         paths[i] = own
     return True

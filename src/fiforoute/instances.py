@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import factorial
 
 from .equilibria import GREEDY_QUEUE, TieBreakPolicy, sequential_equilibrium
-from .loading import load
+from .loading import arrival_sweep
 from .model import FifoRouteError, Game, LinearMultigraph
 from .optimum import min_horizon
 
@@ -152,7 +152,7 @@ def _eq_makespan(
                 f"n = {params.n} exceeds the simulation cap {cap}; use analytic mode"
             )
         state = sequential_equilibrium(game, policy)
-        return load(game, state).makespan, "sim"
+        return max(arrival_sweep(game, state.paths)[-1]), "sim"
     if mode == "analytic":
         return eq_completion_closed_form(params), "formula"
     raise InstanceError(f"unknown mode {mode!r} (expected simulate or analytic)")

@@ -8,9 +8,9 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import accumulate
 from operator import itemgetter, sub
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .model import Edge, FifoRouteError, Game, State, validate_game, validate_state
+from .model import Edge, FifoRouteError, Game, PathChoice, State, validate_game, validate_state
 
 
 class LoadingError(FifoRouteError):
@@ -45,12 +45,12 @@ class LoadingResult:
     """Complete deterministic timeline of one network loading.
 
     arrivals[j][i] is the time player i reaches node v_j (node 0 holds the
-    starting pattern); completions mirror the last node. waiting[i][j] /
-    latency[i][j] refer to 0-based player i on the j-th layer of its path and
-    are derived from the arrivals on first use. The queue sum series, the
-    event trace and the per-edge queue snapshots are derived from the edge
-    logs on first use; the queue sum series is sparse over event times, use
-    the queue_sum() helper for lookups.
+    starting pattern); completions mirror the last node. Everything else is
+    derived on first use: waiting[i][j] / latency[i][j] (0-based player i on
+    the j-th layer of its path) and the per-edge logs from the arrivals and
+    the state, and the queue sum series, the event trace and the per-edge
+    queue snapshots from the logs. The queue sum series is sparse over event
+    times; use the queue_sum() helper for lookups.
     """
 
     game: Game
@@ -58,7 +58,6 @@ class LoadingResult:
     arrivals: tuple[tuple[int, ...], ...]
     completions: tuple[int, ...]
     makespan: int
-    edge_logs: dict[tuple[int, int], EdgeLog]
 
     def edge_log(self, layer: int, index: int) -> EdgeLog:
         key = (layer, index)
@@ -70,6 +69,23 @@ class LoadingResult:
         # the fields only: reading a derived value must not change what a
         # pickle of the result holds; it is derived again after unpickling
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    @cached_property
+    def edge_logs(self) -> dict[tuple[int, int], EdgeLog]:
+        """Per used edge, its FIFO log: players in (tail arrival, index) order,
+        entering at the tail arrival, departing a transit before the head arrival."""
+        logs = {}
+        for j, layer in enumerate(self.game.graph.layers):
+            a, b = self.arrivals[j], self.arrivals[j + 1]
+            players = [array("q") for _ in layer]
+            for i in sorted(range(self.game.n), key=a.__getitem__):  # stable: ties by index
+                players[self.state.paths[i].edge_indices[j] - 1].append(i)
+            for edge, on in zip(layer, players):
+                if on:
+                    entries = array("q", [a[i] for i in on])
+                    departs = array("q", [b[i] - edge.transit for i in on])
+                    logs[(edge.layer, edge.index_in_layer)] = EdgeLog(entries, departs, on)
+        return logs
 
     @cached_property
     def latency(self) -> tuple[tuple[int, ...], ...]:
@@ -159,8 +175,8 @@ def check_times_fit_int64(game: Game) -> None:
         raise LoadingError(f"times may reach {bound}, beyond the 2**62 limit of int64 time tables")
 
 
-def load(game: Game, state: State, *, _validate: bool = True) -> LoadingResult:
-    """Load a profile one network layer at a time.
+def arrival_sweep(game: Game, paths: Sequence[PathChoice]) -> tuple[tuple[int, ...], ...]:
+    """Arrival times of a valid profile, one network layer at a time.
 
     At every integer time, the players that reach an edge's tail join its
     queue, ordered by (arrival time, player index), and the queue then
@@ -172,64 +188,48 @@ def load(game: Game, state: State, *, _validate: bool = True) -> LoadingResult:
     fewer than c players entered before it (Lindley's recursion, with the
     c servers of a wide edge taken by FIFO rank mod c).
 
-    The per-edge logs are filled in FIFO order by the sweep; the queue sum
-    series, the event trace and the queue snapshots are derived from them
-    on first use. Validation rejects invalid input with LoadingError, and
-    so a game whose times could exceed int64. `_validate=False` skips it
-    for callers that already checked (the deviation check's reloads).
+    Returns arrivals[j][i], the time player i reaches node v_j. Nothing is
+    validated: callers pass a valid game and one valid path per player.
     """
-    if _validate:
-        bad = validate_game(game)
-        if bad:
-            raise LoadingError("invalid game: " + "; ".join(bad))
-        check_times_fit_int64(game)
-        bad = validate_state(game, state)
-        if bad:
-            raise LoadingError("state does not fit game: " + "; ".join(bad))
-
-    graph = game.graph
     n = game.n
-    paths = state.paths
-    logs: dict[tuple[int, int], EdgeLog] = {}
-    arr = list(game.start_times())
-    arrivals = [tuple(arr)]
-    for j, layer in enumerate(graph.layers):
+    arr = tuple(game.start_times())
+    arrivals = [arr]
+    for j, layer in enumerate(game.graph.layers):
         col = [p.edge_indices[j] - 1 for p in paths]
         taus = [e.transit for e in layer]
         caps = [e.capacity for e in layer]
-        entries = [array("q") for _ in layer]
-        departs = [array("q") for _ in layer]
-        players = [array("q") for _ in layer]
+        departs: list[list[int]] = [[] for _ in layer]
         nxt = [0] * n
         for i in sorted(range(n), key=arr.__getitem__):  # stable: ties by index
-            a = arr[i]
             e = col[i]
-            dep = departs[e]
+            d = departs[e]
             c = caps[e]
-            d = a
-            if len(dep) >= c:
-                d = dep[-c] + 1
-                if d < a:
-                    d = a
-            entries[e].append(a)
-            dep.append(d)
-            players[e].append(i)
-            nxt[i] = d + taus[e]
-        for e, edge in enumerate(layer):
-            if players[e]:
-                logs[(edge.layer, edge.index_in_layer)] = EdgeLog(entries[e], departs[e], players[e])
-        arrivals.append(tuple(nxt))
-        arr = nxt
+            out = arr[i]
+            if len(d) >= c and d[-c] >= out:
+                out = d[-c] + 1
+            d.append(out)
+            nxt[i] = out + taus[e]
+        arr = tuple(nxt)
+        arrivals.append(arr)
+    return tuple(arrivals)
 
-    completions = arrivals[-1]
-    return LoadingResult(
-        game=game,
-        state=state,
-        arrivals=tuple(arrivals),
-        completions=completions,
-        makespan=max(completions),
-        edge_logs=logs,
-    )
+
+def load(game: Game, state: State) -> LoadingResult:
+    """Validate a game and a profile, then load it with arrival_sweep.
+
+    Validation rejects invalid input with LoadingError, and so a game whose
+    times could exceed int64. The result stores the arrivals; edge logs,
+    queues and traces are derived from them on first read.
+    """
+    bad = validate_game(game)
+    if bad:
+        raise LoadingError("invalid game: " + "; ".join(bad))
+    check_times_fit_int64(game)
+    bad = validate_state(game, state)
+    if bad:
+        raise LoadingError("state does not fit game: " + "; ".join(bad))
+    arrivals = arrival_sweep(game, state.paths)
+    return LoadingResult(game, state, arrivals, completions=arrivals[-1], makespan=max(arrivals[-1]))
 
 
 def workload(result: LoadingResult, edge: Edge, t: int) -> int:
@@ -240,9 +240,7 @@ def workload(result: LoadingResult, edge: Edge, t: int) -> int:
     behind, drained at `capacity` per step. Beyond the simulated horizon the
     queue is empty and the workload is the bare transit time.
     """
-    log = result.edge_log(edge.layer, edge.index_in_layer)
-    ahead = bisect_right(log.entries, t) - bisect_left(log.departs, t)
-    return edge.transit + ahead // edge.capacity
+    return edge.transit + queue_length(result, edge, t) // edge.capacity
 
 
 def queue_length(result: LoadingResult, edge: Edge, t: int) -> int:

@@ -5,6 +5,8 @@ queues, no event scheduling, no incremental bookkeeping. Slow but obviously
 correct. `heap_load` is the event-driven loop the library shipped before the
 layer sweep: it records every `LoadingResult` field while simulating, so it
 pins the sweep's derived logs, traces and queue series field by field.
+`reload_check` is the deviation check as a plain loop over `heap_load`
+reloads.
 """
 from __future__ import annotations
 
@@ -12,8 +14,9 @@ import heapq
 from array import array
 from collections import deque
 from dataclasses import dataclass
+from itertools import product
 
-from fiforoute import EdgeLog, Game, State, TraceEvent
+from fiforoute import EdgeLog, Game, PathChoice, State, TraceEvent, UfrWitness
 
 
 def naive_load(game: Game, state: State):
@@ -233,3 +236,25 @@ def heap_load(game: Game, state: State, *, trace: bool = False, queue_trace: boo
         trace=tuple(sorted(rows, key=lambda r: r.time)) if trace else None,
         queue_trace={keys[eid]: snap for eid, snap in qtrace.items()} if queue_trace else None,
     )
+
+
+def reload_check(game: Game, state: State):
+    """True, or the first improving deviation in (player, path, node) order.
+
+    Paths are tried in lexicographic order of their edge indices. Every
+    profile, the base one included, is loaded from scratch by `heap_load`.
+    """
+    base = heap_load(game, state).arrivals
+    m = game.graph.num_layers
+    alternatives = [PathChoice(c) for c in product(*(range(1, len(layer) + 1) for layer in game.graph.layers))]
+    for i, own in enumerate(state.paths):
+        for alt in alternatives:
+            if alt == own:
+                continue
+            paths = list(state.paths)
+            paths[i] = alt
+            arrivals = heap_load(game, State(tuple(paths))).arrivals
+            for j in range(1, m + 1):
+                if arrivals[j][i] < base[j][i]:
+                    return UfrWitness(player=i + 1, node=j, deviation=alt, improved_arrival=arrivals[j][i])
+    return True

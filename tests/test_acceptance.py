@@ -66,7 +66,7 @@ def _greedy(idx: int, game: Game) -> tuple[State, int]:
     if idx not in _greedy_state:
         state = sequential_equilibrium(game, GREEDY_QUEUE)
         _greedy_state[idx] = state
-        _greedy_makespan[idx] = load(game, state, _validate=False).makespan
+        _greedy_makespan[idx] = load(game, state).makespan
     return _greedy_state[idx], _greedy_makespan[idx]
 
 
@@ -146,7 +146,7 @@ def test_equilibrium_invariants_on_corpus(fuzz_corpus):
     for idx, game in enumerate(fuzz_corpus):
         for policy in (GREEDY_QUEUE, LOWEST_INDEX, SHORTEST_QUEUE, seeded(idx)):
             state = sequential_equilibrium(game, policy)
-            result = load(game, state, _validate=False)
+            result = load(game, state)
             _assert_ordered(result)
             constructed += 1
             if policy is GREEDY_QUEUE:
@@ -160,7 +160,7 @@ def test_equilibrium_invariants_on_corpus(fuzz_corpus):
             continue
         worst = 0
         for st in enumerate_equilibria(game):
-            result = load(game, st, _validate=False)
+            result = load(game, st)
             _assert_ordered(result)
             inflow_layers += _assert_inflow_bound(game, result)
             worst = max(worst, result.makespan)
@@ -176,10 +176,10 @@ def test_equilibrium_invariants_on_corpus(fuzz_corpus):
         variants = [game, Game(game.graph, game.n, random_pattern(vary, game.n))]
         for variant in variants:
             state = sequential_equilibrium(variant, GREEDY_QUEUE)
-            hat = load(variant, state, _validate=False)
+            hat = load(variant, state)
             gap_events += _check_workload_gaps(variant, hat)
             for eq_state in enumerate_equilibria(variant):
-                res = load(variant, eq_state, _validate=False)
+                res = load(variant, eq_state)
                 assert all(
                     h >= c for h, c in zip(hat.completions, res.completions)
                 ), (variant, eq_state)
@@ -215,9 +215,7 @@ def test_equilibrium_invariants_on_corpus(fuzz_corpus):
         row = transits[del_rng.choice(wide)]
         del row[del_rng.randrange(len(row))]
         reduced = Game(LinearMultigraph.from_transits(transits), game.n)
-        reduced_makespan = load(
-            reduced, sequential_equilibrium(reduced), _validate=False
-        ).makespan
+        reduced_makespan = load(reduced, sequential_equilibrium(reduced)).makespan
         assert reduced_makespan >= _greedy_makespan[idx], (game, reduced)
         deletions += 1
 
@@ -263,7 +261,7 @@ def test_greedy_matches_worst_enumerated_equilibrium(fuzz_corpus):
         worst = _enum_worst.get(idx)
         if worst is None:
             worst = max(
-                load(game, st, _validate=False).makespan
+                load(game, st).makespan
                 for st in enumerate_equilibria(game)
             )
         _, greedy_makespan = _greedy(idx, game)
@@ -283,7 +281,7 @@ def test_optimal_schedules_are_certified(fuzz_corpus):
         at = max_packets(game.graph, plan.horizon)
         assert plan.certificate == (below, at)
         assert below < game.n <= at, (game, plan.horizon)
-        result = load(game, plan.state, _validate=False)
+        result = load(game, plan.state)
         assert result.makespan == plan.horizon
         for (layer, _), log in result.edge_logs.items():
             if layer > 1:
@@ -383,7 +381,7 @@ def test_equilibrium_flows_are_feasible(fuzz_corpus):
     t0 = time.perf_counter()
     for idx, game in enumerate(fuzz_corpus):
         state, _ = _greedy(idx, game)
-        result = load(game, state, _validate=False)
+        result = load(game, state)
         flow = state_to_flow(game, result)
         assert check_flow_feasible(game.graph, flow, expected_value=game.n) == [], game
 

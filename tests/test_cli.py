@@ -50,10 +50,13 @@ HUGE_START = {"layers": [[1]], "n": 2, "starting_pattern": [2**63 - 1, 2**63 - 1
         ("load", HUGE_START, {"paths": [[1], [1]]}, "int64"),
         ("eq", HUGE_START, None, "int64"),
         ("enumerate", HUGE_START, None, "int64"),
+        ("check-ufr", HUGE_START, {"paths": [[1], [1]]}, "int64"),
+        ("check-ufr", TWO_LAYER, {"paths": [[3, 1], [2, 1], [1, 1]]}, "has no edge 3"),
     ],
     ids=[
         "load-layers", "load-paths", "load-pattern", "eq-layers", "eq-pattern", "opt-layers", "opt-pattern",
         "split-capacity", "load-huge-start", "eq-huge-start", "enumerate-huge-start",
+        "check-ufr-huge-start", "check-ufr-paths",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, command, game, state, message):

@@ -25,6 +25,7 @@ from fiforoute import (
     sequential_equilibrium,
 )
 from conftest import random_capacitated_game, random_game, random_pattern, random_state
+from reference import reload_check
 
 
 def test_policy_names_round_trip():
@@ -112,6 +113,16 @@ def test_witness_is_first_in_scan_order(nine_player_game, nine_player_state):
             for j in range(1, 4)
         )
     assert w.deviation.edge_indices == (2, 1, 1)
+
+
+@pytest.mark.parametrize("corpus, step", [("cap_corpus", 1), ("fuzz_corpus", 4)])
+def test_check_matches_reload_oracle_on_corpus(corpus, step, request):
+    # the greedy state and one random state per game, witness fields included;
+    # every fourth fuzz game: both cases take about 7 s on 2 cores, of a 10 s budget
+    rng = random.Random(808)
+    for game in request.getfixturevalue(corpus)[::step]:
+        for state in (sequential_equilibrium(game), random_state(rng, game)):
+            assert is_ufr_equilibrium(game, state) == reload_check(game, state), (game, state)
 
 
 def test_path_budget_guard(nine_player_game):

@@ -61,10 +61,11 @@ def test_worked_example_queue_trace(two_layer_game, two_layer_state):
 def test_derived_values_do_not_change_the_pickle(two_layer_game, two_layer_state):
     res = load(two_layer_game, two_layer_state)
     before = pickle.dumps(res)
-    assert res.waiting and res.latency and res.queue_sum_times and res.trace and res.queue_trace
+    assert res.edge_logs and res.waiting and res.latency and res.queue_sum_times and res.trace and res.queue_trace
     assert pickle.dumps(res) == before
     again = pickle.loads(before)
     assert again == res
+    assert again.edge_logs == res.edge_logs
     assert again.waiting == res.waiting and again.queue_sum_values == res.queue_sum_values
     assert again.trace == res.trace and again.queue_trace == res.queue_trace
 

@@ -97,7 +97,7 @@ def test_optimum_never_beaten_by_exhaustive_search():
         def rec(prefix, remaining):
             nonlocal best
             if not remaining:
-                c = load(game, State(tuple(prefix)), _validate=False).makespan
+                c = load(game, State(tuple(prefix))).makespan
                 best = c if best is None else min(best, c)
                 return
             for p in paths:
