@@ -2,7 +2,9 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Union
 
 import numpy as np
@@ -90,12 +92,22 @@ class UfrWitness:
 def sequential_equilibrium(game: Game, policy: TieBreakPolicy = GREEDY_QUEUE) -> State:
     """Insert players in index order, each walking a currently-fastest route.
 
-    Each player moves layer by layer, always entering an edge whose workload
-    at the player's arrival time is minimal given all lower-index players'
-    fixed behavior; ties go to the policy. The ordering invariant (no player
-    reaches any node before an earlier-indexed player) is asserted at every
-    step, and the returned state is an equilibrium. The default greedy-queue
-    policy gives the equilibrium of largest makespan.
+    Each player moves layer by layer. At the tail of a layer at time t it
+    enters the edge of least head arrival max(t + tau_e, ready_e), where
+    ready_e is the earliest time a newcomer can reach e's head given all
+    lower-index players' fixed behavior (d[-c] + 1 + tau_e once e has had c
+    entrants, 0 before). Every earlier entrant entered by t, so this is t
+    plus the edge's workload. Ties in head arrival go to the policy:
+    lowest-index keeps the first tied edge; greedy-queue and shortest-queue
+    compare queue lengths; seeded draws uniformly among the tied edges. On
+    a layer of unit edges a tied edge's queue is H - t - tau_e, so the first
+    tied edge (least transit) has the longest queue and greedy-queue keeps
+    it, while shortest-queue takes a later tied edge of larger transit.
+
+    The ordering invariant (no player reaches any node before an
+    earlier-indexed player) is asserted at every step, and the returned
+    state is an equilibrium. The default greedy-queue policy gives the
+    equilibrium of largest makespan.
     """
     return State(_construct(game, policy))
 
@@ -105,90 +117,118 @@ def _construct(game: Game, policy: TieBreakPolicy) -> tuple[PathChoice, ...]:
     bad = validate_game(game)
     if bad:
         raise ConstructionError("invalid game: " + "; ".join(bad))
-    if policy.kind not in _KINDS:
-        raise ConstructionError(f"unknown policy kind {policy.kind!r}")
-
-    graph = game.graph
-    m = graph.num_layers
-    n = game.n
-    rng = random.Random(policy.seed) if policy.kind == "seeded" else None
-
-    # Per edge, the departure times so far (non-decreasing) and a head pointer
-    # to the first one >= the current entry time. Entry times on a layer are
-    # arrivals at its tail node, which the invariant below keeps
-    # non-decreasing in player index, so every head only moves forward and
-    # the queue a player finds is len(departs) - head. Departures follow
-    # arrival_sweep's rule: max(t, d[-c] + 1) once c players entered before.
-    layer_taus = [[e.transit for e in layer] for layer in graph.layers]
-    layer_caps = [[e.capacity for e in layer] for layer in graph.layers]
-    departs: list[list[list[int]]] = [[[] for _ in layer] for layer in graph.layers]
-    heads: list[list[int]] = [[0] * len(layer) for layer in graph.layers]
-
-    last_node_arrival = [-1] * (m + 1)
     kind = policy.kind
+    if kind not in _KINDS:
+        raise ConstructionError(f"unknown policy kind {kind!r}")
+    rng = random.Random(policy.seed) if kind == "seeded" else None
+    greedy = kind == "greedy-queue"
+
+    # Per layer: transits, each edge's ready time (d[-c] + 1 + tau once c
+    # players entered, 0 before), and whether ties need a second look. A
+    # player at the tail at time t reaches e's head at H = max(t + tau, ready)
+    # and departs at H - tau, the rule arrival_sweep uses; on a unit edge the
+    # new ready time is H + 1. Ties: lowest-index keeps the first tied edge.
+    # On a unit layer a tied edge's queue is H - t - tau, so the first tied
+    # edge (least transit) has the longest queue: greedy-queue keeps it and
+    # shortest-queue moves to a tied edge of larger transit. A layer with a
+    # wider edge keeps each edge's departures (for d[-c]) and a head pointer
+    # to the first departure >= t, for queue counts; entry times on a layer
+    # are arrivals at its tail, which the invariant below keeps
+    # non-decreasing, so the pointers only move forward.
+    layers = []
+    for layer in game.graph.layers:
+        caps = [e.capacity for e in layer]
+        wide = max(caps) > 1
+        layers.append((
+            [e.transit for e in layer],
+            [0] * len(layer),
+            caps if wide else None,
+            [[] for _ in layer] if wide else None,
+            [0] * len(layer) if wide else None,
+            kind != "lowest-index" and (wide or not greedy),
+        ))
+
+    front = [-1] * (len(layers) + 1)  # latest arrival so far at each node
     paths: list[PathChoice] = []
-
-    for i in range(n):
+    for i in range(game.n):
         t = game.start_time(i)
-        if t < last_node_arrival[0]:
+        if t < front[0]:
             raise ConstructionError(f"player {i + 1} starts before player {i}")
-        last_node_arrival[0] = t
+        front[0] = t
         choice: list[int] = []
-        for j in range(m):
-            taus = layer_taus[j]
-            caps = layer_caps[j]
-            dep = departs[j]
-            head = heads[j]
-            best = -1
-            best_w = -1
-            best_q = 0
-            ties: list[int] = []
-            for idx in range(len(taus)):
-                tau = taus[idx]
-                if best >= 0 and tau > best_w:
-                    break  # layer sorted by transit: nothing better follows
-                d = dep[idx]
-                h = head[idx]
-                size = len(d)
-                while h < size and d[h] < t:
-                    h += 1
-                head[idx] = h
-                queued = size - h
-                w = tau + queued // caps[idx]
-                if best < 0 or w < best_w:
-                    best, best_w, best_q = idx, w, queued
-                    if rng is not None:
-                        ties = [idx]
-                elif w == best_w:
-                    if rng is not None:
-                        ties.append(idx)
-                    elif kind == "greedy-queue":
-                        if queued > best_q:
-                            best, best_q = idx, queued
-                    elif kind == "shortest-queue":
-                        if queued < best_q:
-                            best, best_q = idx, queued
-                    # lowest-index: keep the earlier edge
-            if rng is not None and len(ties) > 1:
-                best = ties[rng.randrange(len(ties))]
+        for j, (taus, ready, caps, departs, heads, ties) in enumerate(layers, 1):
+            best = 0
+            best_h = t + taus[0]
+            if ready[0] > best_h:
+                best_h = ready[0]
+            if not ties:
+                for idx in range(1, len(taus)):
+                    h = t + taus[idx]
+                    if h >= best_h:
+                        break  # layer sorted by transit: nothing earlier follows
+                    r = ready[idx]
+                    if r < best_h:
+                        best = idx
+                        best_h = h if h > r else r
+            else:
+                tied = [0] if rng is not None else None
+                best_q = -1
+                for idx in range(1, len(taus)):
+                    tau = taus[idx]
+                    h = t + tau
+                    if h > best_h:
+                        break
+                    r = ready[idx]
+                    if r > h:
+                        h = r
+                    if h < best_h:
+                        best, best_h, best_q = idx, h, -1
+                        if rng is not None:
+                            tied = [idx]
+                    elif h == best_h:
+                        if rng is not None:
+                            tied.append(idx)
+                        elif caps is None:  # shortest-queue: larger transit, shorter queue
+                            if tau > taus[best]:
+                                best = idx
+                        else:
+                            if best_q < 0:
+                                best_q = _queued(departs, heads, best, t)
+                            q = _queued(departs, heads, idx, t)
+                            if q > best_q if greedy else q < best_q:
+                                best, best_q = idx, q
+                if rng is not None and len(tied) > 1:
+                    best = tied[rng.randrange(len(tied))]
 
-            d = dep[best]
-            c = caps[best]
-            out = t
-            if len(d) >= c and d[-c] >= t:
-                out = d[-c] + 1
-            d.append(out)
-            t = out + taus[best]
-            if t < last_node_arrival[j + 1]:
+            if caps is None:
+                ready[best] = best_h + 1
+            else:
+                tau = taus[best]
+                d = departs[best]
+                d.append(best_h - tau)
+                c = caps[best]
+                if len(d) >= c:
+                    ready[best] = d[-c] + 1 + tau
+            t = best_h
+            if t < front[j]:
                 raise ConstructionError(
-                    f"player {i + 1} reaches node {j + 1} at {t}, "
-                    f"before the previous front at {last_node_arrival[j + 1]}"
+                    f"player {i + 1} reaches node {j} at {t}, before the previous front at {front[j]}"
                 )
-            last_node_arrival[j + 1] = t
+            front[j] = t
             choice.append(best + 1)
         paths.append(PathChoice(tuple(choice)))
 
     return tuple(paths)
+
+
+def _queued(departs: list[list[int]], heads: list[int], e: int, t: int) -> int:
+    """Players on edge e that depart at or after t, moving its head pointer forward."""
+    d = departs[e]
+    h = heads[e]
+    while h < len(d) and d[h] < t:
+        h += 1
+    heads[e] = h
+    return len(d) - h
 
 
 DEFAULT_PATH_BUDGET = 10_000
@@ -208,10 +248,9 @@ def is_ufr_equilibrium(
     """
     if path_budget < 1:
         raise BudgetError("path budget must be positive")
-    num_paths = game.num_paths()
-    if num_paths > path_budget:
+    if _capped_product(game.graph.layer_sizes, path_budget) > path_budget:
         raise BudgetError(
-            f"instance too large for exact check: {num_paths} paths per player, budget {path_budget}"
+            f"instance too large for exact check: over the path budget of {path_budget} paths per player"
         )
     base = load(game, state).arrivals
     alternatives = all_paths(game.graph)
@@ -251,12 +290,13 @@ def enumerate_equilibria(game: Game, state_budget: int = DEFAULT_STATE_BUDGET) -
     bad = validate_game(game)
     if bad:
         raise FifoRouteError("invalid game: " + "; ".join(bad))
-    paths = all_paths(game.graph)
-    num_paths = len(paths)
     n = game.n
-    total = num_paths**n
+    num_paths = _capped_product(game.graph.layer_sizes, state_budget)
+    # one path means one state for any n, without n multiplications
+    total = _capped_product(repeat(num_paths, n), state_budget) if num_paths > 1 else 1
     if total > state_budget:
-        raise BudgetError(f"budget exceeded: {num_paths}^{n} = {total} states, budget {state_budget}")
+        raise BudgetError(f"budget exceeded: {n} players have over {state_budget} states")
+    paths = all_paths(game.graph)
 
     check_times_fit_int64(game)
     m = game.graph.num_layers
@@ -282,6 +322,16 @@ def enumerate_equilibria(game: Game, state_budget: int = DEFAULT_STATE_BUDGET) -
             digits.append(d)
         found.append(State(tuple(paths[d] for d in reversed(digits))))
     return found
+
+
+def _capped_product(factors: Iterable[int], cap: int) -> int:
+    """The product of factors, or cap + 1 as soon as a partial product exceeds cap."""
+    total = 1
+    for f in factors:
+        total *= f
+        if total > cap:
+            return cap + 1
+    return total
 
 
 def _arrival_tables(game: Game, paths: list[PathChoice]) -> np.ndarray:

@@ -6,17 +6,19 @@ correct. `heap_load` is the event-driven loop the library shipped before the
 layer sweep: it records every `LoadingResult` field while simulating, so it
 pins the sweep's derived logs, traces and queue series field by field.
 `reload_check` is the deviation check as a plain loop over `heap_load`
-reloads.
+reloads. `replay_construct` is the sequential constructor by the workload
+rule, counting every edge's queue afresh from a plain list of departures.
 """
 from __future__ import annotations
 
 import heapq
+import random
 from array import array
 from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
-from fiforoute import EdgeLog, Game, PathChoice, State, TraceEvent, UfrWitness
+from fiforoute import EdgeLog, Game, PathChoice, State, TieBreakPolicy, TraceEvent, UfrWitness
 
 
 def naive_load(game: Game, state: State):
@@ -258,3 +260,46 @@ def reload_check(game: Game, state: State):
                 if arrivals[j][i] < base[j][i]:
                     return UfrWitness(player=i + 1, node=j, deviation=alt, improved_arrival=arrivals[j][i])
     return True
+
+
+def replay_construct(game: Game, policy: TieBreakPolicy) -> State:
+    """Players in index order, each entering an edge of least workload per layer.
+
+    At the tail of a layer at time t, an edge's workload is
+    transit + queued // capacity, where queued counts the edge's departures
+    at or after t. Ties go to the lowest index (lowest-index), the longest
+    queue (greedy-queue) or the shortest queue (shortest-queue), each then
+    to the lowest index; seeded draws one randrange over the tied edges in
+    index order whenever more than one edge ties. The player departs at t,
+    or at d[-c] + 1 when c players entered before it and the c-th last of
+    them departs at or after t.
+    """
+    rng = random.Random(policy.seed) if policy.kind == "seeded" else None
+    departs = [[[] for _ in layer] for layer in game.graph.layers]
+    paths = []
+    for i in range(game.n):
+        t = game.start_time(i)
+        choice = []
+        for layer, logs in zip(game.graph.layers, departs):
+            scored = []
+            for e, d in zip(layer, logs):
+                queued = sum(1 for out in d if out >= t)
+                scored.append((e.transit + queued // e.capacity, queued, e))
+            least = min(w for w, _, _ in scored)
+            tied = [(queued, e) for w, queued, e in scored if w == least]
+            if policy.kind == "greedy-queue":
+                _, edge = max(tied, key=lambda qe: qe[0])
+            elif policy.kind == "shortest-queue":
+                _, edge = min(tied, key=lambda qe: qe[0])
+            elif rng is not None and len(tied) > 1:
+                _, edge = tied[rng.randrange(len(tied))]
+            else:
+                _, edge = tied[0]
+            d = logs[edge.index_in_layer - 1]
+            c = edge.capacity
+            out = max(t, d[-c] + 1) if len(d) >= c else t
+            d.append(out)
+            t = out + edge.transit
+            choice.append(edge.index_in_layer)
+        paths.append(PathChoice(tuple(choice)))
+    return State(tuple(paths))

@@ -52,11 +52,13 @@ HUGE_START = {"layers": [[1]], "n": 2, "starting_pattern": [2**63 - 1, 2**63 - 1
         ("enumerate", HUGE_START, None, "int64"),
         ("check-ufr", HUGE_START, {"paths": [[1], [1]]}, "int64"),
         ("check-ufr", TWO_LAYER, {"paths": [[3, 1], [2, 1], [1, 1]]}, "has no edge 3"),
+        ("enumerate", {"layers": [[1, 1, 1]], "n": 10_000}, None, "budget"),
+        ("check-ufr", {"layers": [[1, 1, 1]] * 10_000, "n": 1}, {"paths": [[1] * 10_000]}, "budget"),
     ],
     ids=[
         "load-layers", "load-paths", "load-pattern", "eq-layers", "eq-pattern", "opt-layers", "opt-pattern",
         "split-capacity", "load-huge-start", "eq-huge-start", "enumerate-huge-start",
-        "check-ufr-huge-start", "check-ufr-paths",
+        "check-ufr-huge-start", "check-ufr-paths", "enumerate-many-states", "check-ufr-many-paths",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, command, game, state, message):

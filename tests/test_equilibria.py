@@ -18,6 +18,7 @@ from fiforoute import (
     UfrWitness,
     all_paths,
     enumerate_equilibria,
+    gen_lower_bound_game,
     is_ufr_equilibrium,
     load,
     parse_policy,
@@ -25,7 +26,7 @@ from fiforoute import (
     sequential_equilibrium,
 )
 from conftest import random_capacitated_game, random_game, random_pattern, random_state
-from reference import reload_check
+from reference import reload_check, replay_construct
 
 
 def test_policy_names_round_trip():
@@ -88,6 +89,22 @@ def test_constructed_states_are_equilibria_all_policies():
         for policy in policies:
             st = sequential_equilibrium(game, policy)
             assert is_ufr_equilibrium(game, st) is True
+
+
+def test_constructor_matches_replay_oracle(cap_corpus, fuzz_corpus):
+    # every capacitated game, every fourth unit game and lower-bound game i = 2
+    # (n = 720), under all four policies; about 1 s on 2 cores
+    policies = [GREEDY_QUEUE, LOWEST_INDEX, SHORTEST_QUEUE, seeded(2024)]
+    differ = {GREEDY_QUEUE: 0, SHORTEST_QUEUE: 0}
+    for game in cap_corpus + fuzz_corpus[::4] + [gen_lower_bound_game(2)]:
+        states = {policy: sequential_equilibrium(game, policy) for policy in policies}
+        for policy, state in states.items():
+            assert state == replay_construct(game, policy), (game, policy)
+        for policy in differ:
+            differ[policy] += states[policy] != states[LOWEST_INDEX]
+    # greedy-queue can leave lowest-index only by counting queues on a layer
+    # with a wider edge: both differences show the queue tie rules ran
+    assert differ[GREEDY_QUEUE] > 0 and differ[SHORTEST_QUEUE] > 0
 
 
 def test_nine_player_profile_is_not_an_equilibrium(nine_player_game, nine_player_state):

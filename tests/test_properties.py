@@ -3,6 +3,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fiforoute import (
+    GREEDY_QUEUE,
+    LOWEST_INDEX,
+    SHORTEST_QUEUE,
     Edge,
     Game,
     LinearMultigraph,
@@ -16,6 +19,7 @@ from fiforoute import (
     map_state_to_split,
     optimal_state,
     queue_sum,
+    seeded,
     sequential_equilibrium,
     split_capacities,
     state_from_dict,
@@ -106,10 +110,16 @@ def test_workload_equals_replayed_newcomer_latency(gs, t):
         assert replay.completions[pos] == t + expected
 
 
+tie_policies = st.one_of(
+    st.sampled_from([GREEDY_QUEUE, LOWEST_INDEX, SHORTEST_QUEUE]),
+    st.integers(0, 2**64 - 1).map(seeded),
+)
+
+
 @settings(max_examples=150, deadline=None)
-@given(games(with_capacities=False))
-def test_constructed_profile_is_always_an_equilibrium(game):
-    state = sequential_equilibrium(game)
+@given(games(with_capacities=True), tie_policies)
+def test_constructed_profile_is_always_an_equilibrium(game, policy):
+    state = sequential_equilibrium(game, policy)
     assert is_ufr_equilibrium(game, state) is True
 
 
