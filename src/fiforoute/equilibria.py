@@ -7,17 +7,8 @@ from dataclasses import dataclass
 from itertools import repeat
 from typing import Union
 
-import numpy as np
-
 from .loading import arrival_sweep, check_times_fit_int64, load
-from .model import (
-    FifoRouteError,
-    Game,
-    PathChoice,
-    State,
-    all_paths,
-    validate_game,
-)
+from .model import FifoRouteError, Game, PathChoice, State, all_paths, validate_game
 
 
 class BudgetError(FifoRouteError):
@@ -123,18 +114,13 @@ def _construct(game: Game, policy: TieBreakPolicy) -> tuple[PathChoice, ...]:
     rng = random.Random(policy.seed) if kind == "seeded" else None
     greedy = kind == "greedy-queue"
 
-    # Per layer: transits, each edge's ready time (d[-c] + 1 + tau once c
-    # players entered, 0 before), and whether ties need a second look. A
-    # player at the tail at time t reaches e's head at H = max(t + tau, ready)
-    # and departs at H - tau, the rule arrival_sweep uses; on a unit edge the
-    # new ready time is H + 1. Ties: lowest-index keeps the first tied edge.
-    # On a unit layer a tied edge's queue is H - t - tau, so the first tied
-    # edge (least transit) has the longest queue: greedy-queue keeps it and
-    # shortest-queue moves to a tied edge of larger transit. A layer with a
-    # wider edge keeps each edge's departures (for d[-c]) and a head pointer
-    # to the first departure >= t, for queue counts; entry times on a layer
-    # are arrivals at its tail, which the invariant below keeps
-    # non-decreasing, so the pointers only move forward.
+    # Per layer: transits, each edge's ready time and whether ties need a
+    # second look (the tie rules are in the docstring). A player reaching
+    # e's head at H departs at H - tau, the rule arrival_sweep uses; a unit
+    # edge is then ready at H + 1. A layer with a wider edge keeps each
+    # edge's departures (for d[-c]) and a head pointer to the first departure
+    # >= t, for queue counts; tail arrivals never decrease (the invariant
+    # below), so the pointers only move forward.
     layers = []
     for layer in game.graph.layers:
         caps = [e.capacity for e in layer]
@@ -240,11 +226,15 @@ def is_ufr_equilibrium(
 ) -> Union[bool, UfrWitness]:
     """Exact deviation check: True, or the first witness in (player, path, node) order.
 
-    The game and the state are validated once, by the base load. Then, for
-    every player and every alternative path, the profile with only that
-    player's path replaced is swept again (arrival_sweep) and the player's
-    arrival times at every node are compared; any strictly earlier arrival
-    disproves equilibrium.
+    The base load validates the game and the state. If it is ordered (at
+    every node, arrivals non-decreasing in player index), each player's
+    arrivals depend only on the lower-index players, whom it queues behind.
+    Replaying players in index order through _least_head then decides: one
+    that reaches the least head arrival on every layer cannot gain (a
+    deviation never reaches a node earlier, so it overtakes no lower-index
+    player and those stay put); one that misses it gains on a faster edge.
+    From the first that misses (player 1 if unordered), every alternative
+    path is swept (arrival_sweep) and a strictly earlier arrival is a witness.
     """
     if path_budget < 1:
         raise BudgetError("path budget must be positive")
@@ -253,37 +243,51 @@ def is_ufr_equilibrium(
             f"instance too large for exact check: over the path budget of {path_budget} paths per player"
         )
     base = load(game, state).arrivals
+    first = _first_to_miss(game, state, base)
+    if first == game.n:
+        return True
     alternatives = all_paths(game.graph)
-    m = game.graph.num_layers
     paths = list(state.paths)
-    for i in range(game.n):
+    for i in range(first, game.n):
         own = state.paths[i]
         for alt in alternatives:
             if alt == own:
                 continue
             paths[i] = alt
             arrivals = arrival_sweep(game, paths)
-            for j in range(1, m + 1):
+            for j in range(1, game.graph.num_layers + 1):
                 if arrivals[j][i] < base[j][i]:
-                    return UfrWitness(
-                        player=i + 1,
-                        node=j,
-                        deviation=alt,
-                        improved_arrival=arrivals[j][i],
-                    )
+                    return UfrWitness(i + 1, j, alt, arrivals[j][i])
         paths[i] = own
     return True
+
+
+def _first_to_miss(game: Game, state: State, base: tuple[tuple[int, ...], ...]) -> int:
+    """First player of an ordered loading to miss a least head arrival (n if none); 0 if unordered."""
+    if any(a > b for row in base for a, b in zip(row, row[1:])):
+        return 0
+    layers = _layers(game)
+    for i, path in enumerate(state.paths):
+        for j, (idx, (taus, caps, departs)) in enumerate(zip(path.edge_indices, layers)):
+            h = base[j + 1][i]
+            if h != _least_head(base[j][i], taus, caps, departs)[0]:
+                return i
+            departs[idx - 1].append(h - taus[idx - 1])
+    return game.n
 
 
 def enumerate_equilibria(game: Game, state_budget: int = DEFAULT_STATE_BUDGET) -> list[State]:
     """All equilibria of a tiny game, lexicographically ordered by path choices.
 
-    Every deviation profile is itself a state, so one arrival table over the
-    full mixed-radix state space answers all deviation queries: player i's
-    state is an equilibrium iff its arrival row is the componentwise minimum
-    of the num_paths rows that differ only in i's digit. The table is built
-    in int64 for every capacity; a game whose times could exceed that range
-    raises LoadingError.
+    In an equilibrium no player reaches a node before a lower-index one: the
+    lower one could take the overtaker's edge and arrive no later. So each
+    player's arrivals depend only on lower-index players, and the equilibria
+    are the ordered profiles in which every player enters an edge of least
+    head arrival on every layer (see is_ufr_equilibrium): the sequential
+    constructions over every tie choice. A depth-first walk, player by
+    player and layer by layer, branches over tied edges in index order,
+    which gives lexicographic order. The budget counts all num_paths**n
+    states; a game whose times could exceed int64 raises LoadingError.
     """
     if state_budget < 1:
         raise BudgetError("state budget must be positive")
@@ -296,32 +300,73 @@ def enumerate_equilibria(game: Game, state_budget: int = DEFAULT_STATE_BUDGET) -
     total = _capped_product(repeat(num_paths, n), state_budget) if num_paths > 1 else 1
     if total > state_budget:
         raise BudgetError(f"budget exceeded: {n} players have over {state_budget} states")
-    paths = all_paths(game.graph)
-
     check_times_fit_int64(game)
+
     m = game.graph.num_layers
-    rows = _arrival_tables(game, paths)
-
-    good = np.ones(total, dtype=bool)
-    weight = 1  # num_paths ** (n - 1 - i), player n-1 least significant
-    for i in range(n - 1, -1, -1):
-        block = weight * num_paths
-        view = np.ascontiguousarray(rows[:, i, :]).reshape(
-            total // block, num_paths, weight, m
-        )
-        best = view.min(axis=1, keepdims=True)
-        good &= (view == best).all(axis=3).reshape(total)
-        weight = block
-
+    layers = _layers(game)
+    starts = game.start_times()
+    path_of = {p.edge_indices: p for p in all_paths(game.graph)}
+    steps = n * m  # step s puts player s // m on layer s % m
+    choice = [0] * steps  # the 1-based edge index taken at each step
     found: list[State] = []
-    for sid in np.flatnonzero(good):
-        digits: list[int] = []
-        rem = int(sid)
-        for _ in range(n):
-            rem, d = divmod(rem, num_paths)
-            digits.append(d)
-        found.append(State(tuple(paths[d] for d in reversed(digits))))
+
+    def walk(s: int, t: int) -> None:
+        # Step on from s while one edge is fastest, recurse at a tie (depth
+        # below log2(len(found))), then pop the departures appended here.
+        first = s
+        while s < steps:
+            j = s % m
+            if j == 0:
+                t = starts[s // m]
+            taus, caps, departs = layers[j]
+            t, tied = _least_head(t, taus, caps, departs)
+            if len(tied) > 1:
+                for e in tied:
+                    choice[s] = e + 1
+                    departs[e].append(t - taus[e])
+                    walk(s + 1, t)
+                    departs[e].pop()
+                break
+            e = tied[0]
+            choice[s] = e + 1
+            departs[e].append(t - taus[e])
+            s += 1
+        else:
+            found.append(State(tuple(path_of[tuple(choice[k:k + m])] for k in range(0, steps, m))))
+        for q in range(first, s):
+            layers[q % m][2][choice[q] - 1].pop()
+
+    walk(0, 0)
     return found
+
+
+def _layers(game: Game) -> list[tuple[list[int], list[int], list[list[int]]]]:
+    """Per layer: transits, capacities and an empty departure list per edge."""
+    return [
+        ([e.transit for e in layer], [e.capacity for e in layer], [[] for _ in layer])
+        for layer in game.graph.layers
+    ]
+
+
+def _least_head(t: int, taus: list[int], caps: list[int], departs: list[list[int]]) -> tuple[int, list[int]]:
+    """The least head arrival from tail time t on a layer, and the 0-based
+    edges reaching it in index order. departs[e] holds the departures of the
+    lower-index players on edge e; a newcomer queues behind them all, so by
+    the rule of arrival_sweep it reaches e's head at t + tau_e, or at
+    d[-c] + 1 + tau_e if later once c of them entered."""
+    best, tied = 0, []
+    for e, tau in enumerate(taus):
+        h = t + tau
+        if tied and h > best:
+            break  # layer sorted by transit: nothing earlier follows
+        d = departs[e]
+        if len(d) >= caps[e] and d[-caps[e]] + 1 + tau > h:
+            h = d[-caps[e]] + 1 + tau
+        if not tied or h < best:
+            best, tied = h, [e]
+        elif h == best:
+            tied.append(e)
+    return best, tied
 
 
 def _capped_product(factors: Iterable[int], cap: int) -> int:
@@ -332,49 +377,3 @@ def _capped_product(factors: Iterable[int], cap: int) -> int:
         if total > cap:
             return cap + 1
     return total
-
-
-def _arrival_tables(game: Game, paths: list[PathChoice]) -> np.ndarray:
-    """Arrivals of every player at every node, for all num_paths**n states at once.
-
-    rows[sid, i, j] is player i's arrival at node v_{j+1} in state sid. Within
-    one FIFO queue the entrant of rank q departs at q + max_{r <= q}(a_r - r),
-    so sorting players by (arrival, index) and taking a per-edge running
-    maximum over the sorted axis yields a whole layer in a few array passes.
-    A capacity-c edge serves as c unit copies, the entrant of FIFO rank q
-    taking copy q mod c, so the same recursion runs inside each copy with
-    the rank counted among that copy's entrants.
-    """
-    n = game.n
-    m = game.graph.num_layers
-    num_paths = len(paths)
-    total = num_paths**n
-    choice = np.array([[idx - 1 for idx in p.edge_indices] for p in paths], dtype=np.int64)
-    weights = num_paths ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    digits = (np.arange(total, dtype=np.int64)[:, None] // weights) % num_paths
-
-    rows = np.empty((total, n, m), dtype=np.int64)
-    arr = np.broadcast_to(np.array(game.start_times(), dtype=np.int64), (total, n)).copy()
-    low = np.iinfo(np.int64).min // 4
-    for j in range(m):
-        edge = choice[digits, j]
-        order = np.argsort(arr, axis=1, kind="stable")  # FIFO: arrival time, then index
-        arr_s = np.take_along_axis(arr, order, axis=1)
-        edge_s = np.take_along_axis(edge, order, axis=1)
-        depart = np.empty_like(arr_s)
-        for e, props in enumerate(game.graph.layers[j]):
-            on_e = edge_s == e
-            rank = np.cumsum(on_e, axis=1)
-            c = props.capacity
-            if c == 1:
-                copies = (on_e,)
-            else:
-                slot = (rank - 1) % c
-                copies = (on_e & (slot == g) for g in range(min(c, n)))
-                rank = (rank - 1) // c + 1
-            for on_copy in copies:
-                head = np.maximum.accumulate(np.where(on_copy, arr_s - rank, low), axis=1)
-                np.copyto(depart, rank + head + props.transit, where=on_copy)
-        np.put_along_axis(arr, order, depart, axis=1)
-        rows[:, :, j] = arr
-    return rows

@@ -162,11 +162,11 @@ _EMPTY_LOG = EdgeLog(array("q"), array("q"), array("q"))
 def check_times_fit_int64(game: Game) -> None:
     """Raise LoadingError unless every time of every profile fits in int64.
 
-    Edge logs and enumeration tables hold times as int64. A player waits
-    fewer than n steps per layer, so no arrival exceeds the last player's
-    start (the game is valid, so starts are non-decreasing) plus, per layer,
-    the largest transit and n. That bound must stay below 2**62, half the
-    int64 range, which also covers intermediate sums.
+    Edge logs hold times as int64, and enumeration keeps the same limit. A
+    player waits fewer than n steps per layer, so no arrival exceeds the
+    last player's start (the game is valid, so starts are non-decreasing)
+    plus, per layer, the largest transit and n. That bound must stay below
+    2**62, half the int64 range, which also covers intermediate sums.
     """
     bound = game.start_time(game.n - 1) + sum(
         max(e.transit for e in layer) + game.n for layer in game.graph.layers

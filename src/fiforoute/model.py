@@ -307,22 +307,22 @@ def state_from_dict(data: dict) -> State:
     return State(tuple(PathChoice(tuple(row)) for row in paths))
 
 
-def load_game_file(path: str) -> Game:
+def _read_json(path: str):
+    """The JSON document in a file; ModelError if it is not UTF-8, not JSON,
+    nested too deeply or holds an integer too long to convert."""
     with open(path, encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
-        except json.JSONDecodeError as err:
+            return json.load(fh)
+        except (ValueError, RecursionError) as err:  # ValueError: JSON, UTF-8 and int-digit errors
             raise ModelError(f"{path}: invalid JSON ({err})") from None
-    return game_from_dict(data)
+
+
+def load_game_file(path: str) -> Game:
+    return game_from_dict(_read_json(path))
 
 
 def load_state_file(path: str) -> State:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise ModelError(f"{path}: invalid JSON ({err})") from None
-    return state_from_dict(data)
+    return state_from_dict(_read_json(path))
 
 
 def save_game_file(game: Game, path: str) -> None:

@@ -8,6 +8,8 @@ pins the sweep's derived logs, traces and queue series field by field.
 `reload_check` is the deviation check as a plain loop over `heap_load`
 reloads. `replay_construct` is the sequential constructor by the workload
 rule, counting every edge's queue afresh from a plain list of departures.
+`table_enumerate` finds every equilibrium from one int64 arrival table over
+all num_paths**n states, without the ordering argument the library uses.
 """
 from __future__ import annotations
 
@@ -18,7 +20,9 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import product
 
-from fiforoute import EdgeLog, Game, PathChoice, State, TieBreakPolicy, TraceEvent, UfrWitness
+import numpy as np
+
+from fiforoute import EdgeLog, Game, PathChoice, State, TieBreakPolicy, TraceEvent, UfrWitness, all_paths
 
 
 def naive_load(game: Game, state: State):
@@ -303,3 +307,84 @@ def replay_construct(game: Game, policy: TieBreakPolicy) -> State:
             choice.append(edge.index_in_layer)
         paths.append(PathChoice(tuple(choice)))
     return State(tuple(paths))
+
+
+def table_enumerate(game: Game) -> list[State]:
+    """All equilibria of a tiny game, lexicographically ordered by path choices.
+
+    Every deviation profile is itself a state, so one arrival table over the
+    full mixed-radix state space answers all deviation queries: player i's
+    state is an equilibrium iff its arrival row is the componentwise minimum
+    of the num_paths rows that differ only in i's digit.
+    """
+    n = game.n
+    m = game.graph.num_layers
+    paths = all_paths(game.graph)
+    num_paths = len(paths)
+    total = num_paths**n
+    rows = _arrival_tables(game, paths)
+
+    good = np.ones(total, dtype=bool)
+    weight = 1  # num_paths ** (n - 1 - i), player n-1 least significant
+    for i in range(n - 1, -1, -1):
+        block = weight * num_paths
+        view = np.ascontiguousarray(rows[:, i, :]).reshape(total // block, num_paths, weight, m)
+        best = view.min(axis=1, keepdims=True)
+        good &= (view == best).all(axis=3).reshape(total)
+        weight = block
+
+    found = []
+    for sid in np.flatnonzero(good):
+        digits = []
+        rem = int(sid)
+        for _ in range(n):
+            rem, d = divmod(rem, num_paths)
+            digits.append(d)
+        found.append(State(tuple(paths[d] for d in reversed(digits))))
+    return found
+
+
+def _arrival_tables(game: Game, paths: list[PathChoice]) -> np.ndarray:
+    """Arrivals of every player at every node, for all num_paths**n states at once.
+
+    rows[sid, i, j] is player i's arrival at node v_{j+1} in state sid. Within
+    one FIFO queue the entrant of rank q departs at q + max_{r <= q}(a_r - r),
+    so sorting players by (arrival, index) and taking a per-edge running
+    maximum over the sorted axis yields a whole layer in a few array passes.
+    A capacity-c edge serves as c unit copies, the entrant of FIFO rank q
+    taking copy q mod c, so the same recursion runs inside each copy with
+    the rank counted among that copy's entrants.
+    """
+    n = game.n
+    m = game.graph.num_layers
+    num_paths = len(paths)
+    total = num_paths**n
+    choice = np.array([[idx - 1 for idx in p.edge_indices] for p in paths], dtype=np.int64)
+    weights = num_paths ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    digits = (np.arange(total, dtype=np.int64)[:, None] // weights) % num_paths
+
+    rows = np.empty((total, n, m), dtype=np.int64)
+    arr = np.broadcast_to(np.array(game.start_times(), dtype=np.int64), (total, n)).copy()
+    low = np.iinfo(np.int64).min // 4
+    for j in range(m):
+        edge = choice[digits, j]
+        order = np.argsort(arr, axis=1, kind="stable")  # FIFO: arrival time, then index
+        arr_s = np.take_along_axis(arr, order, axis=1)
+        edge_s = np.take_along_axis(edge, order, axis=1)
+        depart = np.empty_like(arr_s)
+        for e, props in enumerate(game.graph.layers[j]):
+            on_e = edge_s == e
+            rank = np.cumsum(on_e, axis=1)
+            c = props.capacity
+            if c == 1:
+                copies = (on_e,)
+            else:
+                slot = (rank - 1) % c
+                copies = (on_e & (slot == g) for g in range(min(c, n)))
+                rank = (rank - 1) // c + 1
+            for on_copy in copies:
+                head = np.maximum.accumulate(np.where(on_copy, arr_s - rank, low), axis=1)
+                np.copyto(depart, rank + head + props.transit, where=on_copy)
+        np.put_along_axis(arr, order, depart, axis=1)
+        rows[:, :, j] = arr
+    return rows

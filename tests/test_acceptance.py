@@ -2,16 +2,17 @@
 
 One test per headline guarantee: worked-example fidelity, the nine-player
 witness, the equilibrium invariant suite at corpus scale, greedy-equals-worst,
-optimality certificates, the lower-bound family at desk scale, the exact
-limit computation, capacity splitting, and the flow embedding. Each test
-prints a one-line summary with its measured numbers.
+the price-of-anarchy bound of 2 on every small game, optimality certificates,
+the lower-bound family at desk scale, the exact limit computation, capacity
+splitting, and the flow embedding. Each test prints a one-line summary with
+its measured numbers.
 """
 import math
 import random
 import time
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 
 from fiforoute import (
     GREEDY_QUEUE,
@@ -44,6 +45,7 @@ from fiforoute import (
     state_to_flow,
     workload,
 )
+from fiforoute.loading import arrival_sweep
 
 from conftest import random_pattern, random_state
 
@@ -270,6 +272,34 @@ def test_greedy_matches_worst_enumerated_equilibrium(fuzz_corpus):
     elapsed = time.perf_counter() - t0
     assert checked > 9000
     print(f"\ngreedy = worst equilibrium on {checked} small instances in {elapsed:.1f}s")
+
+
+def test_paper_bound_on_every_small_game():
+    # every unit-capacity game with at most 2 layers of at most 3 edges,
+    # transits 1..3 and n <= 5, all starting at 0: 1 900 games
+    t0 = time.perf_counter()
+    layers = [list(c) for k in (1, 2, 3) for c in combinations_with_replacement((1, 2, 3), k)]
+    graphs = [[a] for a in layers] + [[a, b] for a in layers for b in layers]
+    games = found = 0
+    largest = Fraction(0)
+    for transits in graphs:
+        graph = LinearMultigraph.from_transits(transits)
+        for n in range(1, 6):
+            game = Game(graph, n)
+            eqs = enumerate_equilibria(game)
+            worst = max(max(arrival_sweep(game, st.paths)[-1]) for st in eqs)
+            opt = min_horizon(game)
+            assert worst <= 2 * opt, (transits, n, worst, opt)
+            assert load(game, sequential_equilibrium(game, GREEDY_QUEUE)).makespan == worst, (transits, n)
+            largest = max(largest, Fraction(worst, opt))
+            games += 1
+            found += len(eqs)
+    elapsed = time.perf_counter() - t0
+    assert games == 1900
+    print(
+        f"\nevery small game: {games} games, {found} equilibria, worst/optimal <= {largest} "
+        f"= {float(largest):.3f} (bound 2, family limit e/(e-1) = {math.e / (math.e - 1):.3f}) in {elapsed:.1f}s"
+    )
 
 
 def test_optimal_schedules_are_certified(fuzz_corpus):

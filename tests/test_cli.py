@@ -75,6 +75,27 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, game, state, message
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"layers": [[1, 2], [2]], "n": 3, "note": "\xff"}',
+        b"[" * 100_000 + b"]" * 100_000,
+        b'{"layers": [[1, 2], [2]], "n": 1' + b"0" * 5_000 + b"}",
+    ],
+    ids=["not-utf8", "nested-100000-deep", "integer-of-5000-digits"],
+)
+def test_unreadable_json_exits_2(tmp_path, two_layer_files, capsys, content):
+    # as a game file and as a state file
+    g, s = two_layer_files
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    for argv in (("eq", str(bad)), ("load", g, str(bad))):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "invalid JSON" in err
+
+
 def test_load_reports_arrivals(two_layer_files, capsys):
     g, s = two_layer_files
     code, out, _ = run(capsys, "load", g, s)

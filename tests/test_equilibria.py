@@ -26,7 +26,7 @@ from fiforoute import (
     sequential_equilibrium,
 )
 from conftest import random_capacitated_game, random_game, random_pattern, random_state
-from reference import reload_check, replay_construct
+from reference import reload_check, replay_construct, table_enumerate
 
 
 def test_policy_names_round_trip():
@@ -140,6 +140,21 @@ def test_check_matches_reload_oracle_on_corpus(corpus, step, request):
     for game in request.getfixturevalue(corpus)[::step]:
         for state in (sequential_equilibrium(game), random_state(rng, game)):
             assert is_ufr_equilibrium(game, state) == reload_check(game, state), (game, state)
+
+
+@pytest.mark.parametrize("corpus, step", [("cap_corpus", 2), ("fuzz_corpus", 8)])
+def test_enumerate_matches_table_oracle(corpus, step, request):
+    # every enumerable game of the slice, whole lists in order; the table
+    # oracle takes about 3 s per case on 2 cores
+    checked = found = 0
+    for game in request.getfixturevalue(corpus)[::step]:
+        if game.num_paths() ** game.n > 100_000:
+            continue
+        eqs = enumerate_equilibria(game)
+        assert eqs == table_enumerate(game), game
+        checked += 1
+        found += len(eqs)
+    assert checked > 400 and found > 5_000
 
 
 def test_path_budget_guard(nine_player_game):

@@ -2,10 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import fiforoute
 from fiforoute import (
     Edge,
     Game,
@@ -173,3 +177,10 @@ def test_capacities_survive_round_trip():
     data = game_to_dict(g)
     assert data["capacities"] == [[2, 1]]
     assert game_from_dict(data) == g
+
+
+def test_import_leaves_numpy_unloaded():
+    # the package has no runtime dependencies; numpy serves the tests and perfbench only
+    src = os.path.dirname(os.path.dirname(fiforoute.__file__))
+    code = "import fiforoute, sys; assert 'numpy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), check=True)
