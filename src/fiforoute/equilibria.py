@@ -4,6 +4,7 @@ from __future__ import annotations
 import random
 from collections.abc import Iterable
 from dataclasses import dataclass
+from heapq import heappop, heappush, heapreplace
 from itertools import repeat
 from typing import Union
 
@@ -95,10 +96,19 @@ def sequential_equilibrium(game: Game, policy: TieBreakPolicy = GREEDY_QUEUE) ->
     tied edge (least transit) has the longest queue and greedy-queue keeps
     it, while shortest-queue takes a later tied edge of larger transit.
 
-    The ordering invariant (no player reaches any node before an
-    earlier-indexed player) is asserted at every step, and the returned
-    state is an equilibrium. The default greedy-queue policy gives the
-    equilibrium of largest makespan.
+    Tail times never decrease: a head arrival max(t + tau_e, ready_e) only
+    grows with t and with ready_e, and ready times only grow, so no player
+    reaches any node before an earlier-indexed player. This ordering
+    invariant is asserted at every step, and the returned state is an
+    equilibrium. Where the first tied edge wins (lowest-index, and
+    greedy-queue on a layer of unit edges) it lets each run of equal
+    transit keep its edges in two heaps instead of scanning them: `free`,
+    by index, for the edges already ready by t + tau, which all reach the
+    head at t + tau; and `busy`, by (ready time, index), for the rest. An
+    edge moves from busy to free once t + tau reaches its ready time and
+    never back, until it is picked. Players who take the same path share
+    one PathChoice. The default greedy-queue policy gives the equilibrium
+    of largest makespan.
     """
     return State(_construct(game, policy))
 
@@ -114,49 +124,74 @@ def _construct(game: Game, policy: TieBreakPolicy) -> tuple[PathChoice, ...]:
     rng = random.Random(policy.seed) if kind == "seeded" else None
     greedy = kind == "greedy-queue"
 
-    # Per layer: transits, each edge's ready time and whether ties need a
-    # second look (the tie rules are in the docstring). A player reaching
-    # e's head at H departs at H - tau, the rule arrival_sweep uses; a unit
-    # edge is then ready at H + 1. A layer with a wider edge keeps each
-    # edge's departures (for d[-c]) and a head pointer to the first departure
-    # >= t, for queue counts; tail arrivals never decrease (the invariant
-    # below), so the pointers only move forward.
+    # A player reaching e's head at H departs at H - tau, the rule
+    # arrival_sweep uses; a unit edge is then ready at H + 1, a wider one at
+    # d[-c] + 1 + tau from its departures d. Where the first tied edge wins,
+    # a layer is its runs of equal transit, each (tau, free, busy) with the
+    # heaps of the docstring: a run's pick is free[0], else busy[0], and a
+    # later run must reach the head strictly earlier. Elsewhere ties need
+    # every edge's ready time and, on a layer with a wider edge, a head
+    # pointer to its first departure >= t, for queue counts; as tail times
+    # never decrease, the pointers only move forward.
     layers = []
     for layer in game.graph.layers:
         caps = [e.capacity for e in layer]
         wide = max(caps) > 1
-        layers.append((
-            [e.transit for e in layer],
-            [0] * len(layer),
-            caps if wide else None,
-            [[] for _ in layer] if wide else None,
-            [0] * len(layer) if wide else None,
-            kind != "lowest-index" and (wide or not greedy),
-        ))
+        departs = [[] for _ in layer] if wide else None
+        if kind == "lowest-index" or (greedy and not wide):
+            runs, tau = [], 0
+            for idx, e in enumerate(layer):
+                if e.transit != tau:
+                    tau, free = e.transit, []  # ready 0: every edge, in index order (a heap)
+                    runs.append((tau, free, []))
+                free.append(idx)
+            layers.append((None, None, caps if wide else None, departs, None, runs))
+        else:
+            taus = [e.transit for e in layer]
+            heads = [0] * len(layer) if wide else None
+            layers.append((taus, [0] * len(layer), caps if wide else None, departs, heads, None))
 
     front = [-1] * (len(layers) + 1)  # latest arrival so far at each node
+    path_of: dict[tuple[int, ...], PathChoice] = {}
     paths: list[PathChoice] = []
-    for i in range(game.n):
-        t = game.start_time(i)
+    for i, t in enumerate(game.start_times()):
         if t < front[0]:
             raise ConstructionError(f"player {i + 1} starts before player {i}")
         front[0] = t
         choice: list[int] = []
-        for j, (taus, ready, caps, departs, heads, ties) in enumerate(layers, 1):
-            best = 0
-            best_h = t + taus[0]
-            if ready[0] > best_h:
-                best_h = ready[0]
-            if not ties:
-                for idx in range(1, len(taus)):
-                    h = t + taus[idx]
-                    if h >= best_h:
-                        break  # layer sorted by transit: nothing earlier follows
-                    r = ready[idx]
-                    if r < best_h:
-                        best = idx
-                        best_h = h if h > r else r
+        for j, (taus, ready, caps, departs, heads, runs) in enumerate(layers, 1):
+            if runs:
+                pick = None
+                for run in runs:
+                    tau, free, busy = run
+                    h = t + tau
+                    if pick is not None and h >= best_h:
+                        break  # runs ascend in transit: nothing earlier follows
+                    while busy and busy[0][0] <= h:
+                        heappush(free, heappop(busy)[1])
+                    if free:
+                        best, best_h, pick = free[0], h, run
+                        break
+                    if pick is None or busy[0][0] < best_h:
+                        (best_h, best), pick = busy[0], run
+                tau, free, busy = pick
+                if caps is None:
+                    r = best_h + 1
+                else:
+                    d = departs[best]
+                    d.append(best_h - tau)
+                    c = caps[best]
+                    r = d[-c] + 1 + tau if len(d) >= c else 0
+                if best_h > t + tau:
+                    heapreplace(busy, (r, best))
+                else:  # back to free at the next look if still ready by then
+                    heappop(free)
+                    heappush(busy, (r, best))
             else:
+                best = 0
+                best_h = t + taus[0]
+                if ready[0] > best_h:
+                    best_h = ready[0]
                 tied = [0] if rng is not None else None
                 best_q = -1
                 for idx in range(1, len(taus)):
@@ -186,15 +221,15 @@ def _construct(game: Game, policy: TieBreakPolicy) -> tuple[PathChoice, ...]:
                 if rng is not None and len(tied) > 1:
                     best = tied[rng.randrange(len(tied))]
 
-            if caps is None:
-                ready[best] = best_h + 1
-            else:
-                tau = taus[best]
-                d = departs[best]
-                d.append(best_h - tau)
-                c = caps[best]
-                if len(d) >= c:
-                    ready[best] = d[-c] + 1 + tau
+                if caps is None:
+                    ready[best] = best_h + 1
+                else:
+                    tau = taus[best]
+                    d = departs[best]
+                    d.append(best_h - tau)
+                    c = caps[best]
+                    if len(d) >= c:
+                        ready[best] = d[-c] + 1 + tau
             t = best_h
             if t < front[j]:
                 raise ConstructionError(
@@ -202,7 +237,11 @@ def _construct(game: Game, policy: TieBreakPolicy) -> tuple[PathChoice, ...]:
                 )
             front[j] = t
             choice.append(best + 1)
-        paths.append(PathChoice(tuple(choice)))
+        key = tuple(choice)
+        path = path_of.get(key)
+        if path is None:
+            path = path_of[key] = PathChoice(key)
+        paths.append(path)
 
     return tuple(paths)
 

@@ -186,7 +186,9 @@ def arrival_sweep(game: Game, paths: Sequence[PathChoice]) -> tuple[tuple[int, .
     players in that FIFO order: the q-th entrant of a capacity-c edge, who
     arrives at a_q, departs at d_q = max(a_q, d_{q-c} + 1), or at a_q when
     fewer than c players entered before it (Lindley's recursion, with the
-    c servers of a wide edge taken by FIFO rank mod c).
+    c servers of a wide edge taken by FIFO rank mod c). On a layer of unit
+    edges that is one ready time per edge, the earliest departure open to
+    the next entrant: out = max(a_q, ready_e), then ready_e = out + 1.
 
     Returns arrivals[j][i], the time player i reaches node v_j. Nothing is
     validated: callers pass a valid game and one valid path per player.
@@ -198,17 +200,28 @@ def arrival_sweep(game: Game, paths: Sequence[PathChoice]) -> tuple[tuple[int, .
         col = [p.edge_indices[j] - 1 for p in paths]
         taus = [e.transit for e in layer]
         caps = [e.capacity for e in layer]
-        departs: list[list[int]] = [[] for _ in layer]
         nxt = [0] * n
-        for i in sorted(range(n), key=arr.__getitem__):  # stable: ties by index
-            e = col[i]
-            d = departs[e]
-            c = caps[e]
-            out = arr[i]
-            if len(d) >= c and d[-c] >= out:
-                out = d[-c] + 1
-            d.append(out)
-            nxt[i] = out + taus[e]
+        order = sorted(range(n), key=arr.__getitem__)  # stable: ties by index
+        if max(caps) == 1:
+            ready = [0] * len(layer)
+            for i in order:
+                e = col[i]
+                out = arr[i]
+                if ready[e] > out:
+                    out = ready[e]
+                ready[e] = out + 1
+                nxt[i] = out + taus[e]
+        else:
+            departs: list[list[int]] = [[] for _ in layer]
+            for i in order:
+                e = col[i]
+                d = departs[e]
+                c = caps[e]
+                out = arr[i]
+                if len(d) >= c and d[-c] >= out:
+                    out = d[-c] + 1
+                d.append(out)
+                nxt[i] = out + taus[e]
         arr = tuple(nxt)
         arrivals.append(arr)
     return tuple(arrivals)

@@ -3,7 +3,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from math import prod
+from operator import countOf
 from typing import Iterable, Sequence
 
 
@@ -185,18 +187,27 @@ def validate_game(game: Game) -> list[str]:
 
 
 def validate_state(game: Game, state: State) -> list[str]:
-    """Check that a strategy profile fits the game; returns [] when valid."""
+    """Check that a strategy profile fits the game; returns [] when valid.
+
+    Players who share one PathChoice object share its check; every problem
+    is still reported for each of them, in player order.
+    """
     problems: list[str] = []
     if state.n != game.n:
         problems.append(f"state has {state.n} paths, game has {game.n} players")
     sizes = game.graph.layer_sizes
-    for i, path in enumerate(state.paths, start=1):
-        if len(path.edge_indices) != len(sizes):
-            problems.append(f"player {i}: path has {len(path.edge_indices)} layers, graph has {len(sizes)}")
+    bad: dict[int, list[str]] = {}  # id of a PathChoice -> its problems
+    for key, path in dict(zip(map(id, state.paths), state.paths)).items():
+        indices = path.edge_indices
+        if len(indices) != len(sizes):
+            bad[key] = [f"path has {len(indices)} layers, graph has {len(sizes)}"]
             continue
-        for j, (idx, size) in enumerate(zip(path.edge_indices, sizes), start=1):
-            if type(idx) is not int or not 1 <= idx <= size:  # plain ints only, no bools
-                problems.append(f"player {i}: layer {j} has no edge {idx!r}")
+        for j, idx in enumerate(indices):
+            if type(idx) is not int or not 1 <= idx <= sizes[j]:  # plain ints only, no bools
+                bad.setdefault(key, []).append(f"layer {j + 1} has no edge {idx!r}")
+    if bad:
+        for i, path in enumerate(state.paths, start=1):
+            problems.extend(f"player {i}: {problem}" for problem in bad.get(id(path), ()))
     return problems
 
 
@@ -304,7 +315,13 @@ def state_from_dict(data: dict) -> State:
     paths = data["paths"]
     if not isinstance(paths, list) or not all(isinstance(row, list) for row in paths):
         raise ModelError("'paths' must be a list of integer lists")
-    return State(tuple(PathChoice(tuple(row)) for row in paths))
+    if countOf(map(type, chain.from_iterable(paths)), int) != sum(map(len, paths)):
+        # True and 1.0 equal 1 and a list has no hash: share nothing, so
+        # validate_state names every bad entry
+        return State(tuple(PathChoice(tuple(row)) for row in paths))
+    rows = list(map(tuple, paths))
+    shared = {row: PathChoice(row) for row in dict.fromkeys(rows)}  # one per distinct path
+    return State(tuple(map(shared.__getitem__, rows)))
 
 
 def _read_json(path: str):

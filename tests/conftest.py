@@ -98,6 +98,23 @@ def random_capacitated_game(rng: random.Random) -> Game:
     return Game(LinearMultigraph(tuple(layers)), n, pattern)
 
 
+def random_deep_game(rng: random.Random, max_players: int, capacitated: bool, with_pattern: bool) -> Game:
+    """Up to 3 layers of up to 5 edges with transits 1..3: long runs of equal
+    transit, and with many players deep queues. Capacities 1..3 if capacitated."""
+    layers = []
+    for j in range(1, rng.randint(1, 3) + 1):
+        transits = sorted(rng.randint(1, 3) for _ in range(rng.randint(1, 5)))
+        layers.append(
+            tuple(
+                Edge(j, r + 1, tau, rng.randint(1, 3) if capacitated else 1)
+                for r, tau in enumerate(transits)
+            )
+        )
+    n = rng.randint(1, max_players)
+    pattern = random_pattern(rng, n, high=n // 2) if with_pattern else None
+    return Game(LinearMultigraph(tuple(layers)), n, pattern)
+
+
 @pytest.fixture(scope="session")
 def fuzz_corpus() -> list[Game]:
     """10^4 small unit-capacity zero-pattern games; first ~third single layer."""

@@ -54,11 +54,16 @@ HUGE_START = {"layers": [[1]], "n": 2, "starting_pattern": [2**63 - 1, 2**63 - 1
         ("check-ufr", TWO_LAYER, {"paths": [[3, 1], [2, 1], [1, 1]]}, "has no edge 3"),
         ("enumerate", {"layers": [[1, 1, 1]], "n": 10_000}, None, "budget"),
         ("check-ufr", {"layers": [[1, 1, 1]] * 10_000, "n": 1}, {"paths": [[1] * 10_000]}, "budget"),
+        # True and 1.0 equal 1 but are not edge indices, and a list is not hashable
+        ("load", TWO_LAYER, {"paths": [[1, 1], [True, 1], [1.0, 1]]},
+         "game: player 2: layer 1 has no edge True; player 3: layer 1 has no edge 1.0"),
+        ("load", TWO_LAYER, {"paths": [[1, 1], [[1], 1], [1, 1]]}, "game: player 2: layer 1 has no edge [1]"),
     ],
     ids=[
         "load-layers", "load-paths", "load-pattern", "eq-layers", "eq-pattern", "opt-layers", "opt-pattern",
         "split-capacity", "load-huge-start", "eq-huge-start", "enumerate-huge-start",
         "check-ufr-huge-start", "check-ufr-paths", "enumerate-many-states", "check-ufr-many-paths",
+        "load-paths-equal-to-1", "load-paths-list-entry",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, command, game, state, message):

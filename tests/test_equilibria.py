@@ -25,7 +25,7 @@ from fiforoute import (
     seeded,
     sequential_equilibrium,
 )
-from conftest import random_capacitated_game, random_game, random_pattern, random_state
+from conftest import random_capacitated_game, random_deep_game, random_game, random_pattern, random_state
 from reference import reload_check, replay_construct, table_enumerate
 
 
@@ -105,6 +105,22 @@ def test_constructor_matches_replay_oracle(cap_corpus, fuzz_corpus):
     # greedy-queue can leave lowest-index only by counting queues on a layer
     # with a wider edge: both differences show the queue tie rules ran
     assert differ[GREEDY_QUEUE] > 0 and differ[SHORTEST_QUEUE] > 0
+
+
+def test_constructor_matches_replay_oracle_at_deep_queues():
+    # up to 60 players on up to 5 edges per layer with transits 1..3: edges
+    # wait in the constructor's busy heaps and return to the free ones
+    policies = [GREEDY_QUEUE, LOWEST_INDEX, SHORTEST_QUEUE, seeded(7)]
+    rng = random.Random(60)
+    waits = 0
+    for k in range(300):
+        game = random_deep_game(rng, 60, capacitated=k % 4 >= 2, with_pattern=k % 2 == 1)
+        for policy in policies:
+            state = sequential_equilibrium(game, policy)
+            assert state == replay_construct(game, policy), (game, policy)
+            assert len(set(map(id, state.paths))) == len(set(state.paths))  # one object per path
+        waits += max(map(max, load(game, state).waiting)) >= 5
+    assert waits > 100  # games in which some player waits 5 steps or more
 
 
 def test_nine_player_profile_is_not_an_equilibrium(nine_player_game, nine_player_state):

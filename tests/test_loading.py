@@ -17,7 +17,7 @@ from fiforoute import (
     trace_rows,
     workload,
 )
-from conftest import random_capacitated_game, random_game, random_state
+from conftest import random_capacitated_game, random_deep_game, random_game, random_state
 from reference import HeapLoading, heap_load, naive_load
 
 LOADING_FIELDS = [f.name for f in fields(HeapLoading)]
@@ -158,6 +158,19 @@ def test_load_matches_reference_loaders_on_corpus(corpus, request):
             assert getattr(res, name) == getattr(ref, name), (game, state, name)
         arr, completions, makespan, ref_sums = naive_load(game, state)
         assert (res.arrivals, res.completions, res.makespan) == (arr, completions, makespan)
+        for t, expected in ref_sums.items():
+            assert queue_sum(res, t) == expected, (game, state, t)
+
+
+def test_load_matches_naive_reference_at_deep_queues():
+    # up to 200 players on few edges: long unit-edge ready chains and wide-edge departure lists
+    rng = random.Random(200)
+    for k in range(200):
+        game = random_deep_game(rng, 200, capacitated=k % 2 == 1, with_pattern=k % 4 >= 2)
+        state = random_state(rng, game)
+        res = load(game, state)
+        arr, completions, makespan, ref_sums = naive_load(game, state)
+        assert (res.arrivals, res.completions, res.makespan) == (arr, completions, makespan), (game, state)
         for t, expected in ref_sums.items():
             assert queue_sum(res, t) == expected, (game, state, t)
 

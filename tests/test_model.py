@@ -85,6 +85,28 @@ def test_validate_state_checks_indices_and_count():
     assert validate_state(g, bad_len)
 
 
+def test_validate_state_reports_every_player_of_a_shared_path():
+    g = Game(LinearMultigraph.from_transits([[1, 2], [1]]), 4)
+    bad, short, ok = PathChoice((3, 1)), PathChoice((1,)), PathChoice((1, 1))
+    assert validate_state(g, State((bad, ok, bad, short))) == [
+        "player 1: layer 1 has no edge 3",
+        "player 3: layer 1 has no edge 3",
+        "player 4: path has 1 layers, graph has 2",
+    ]
+    assert validate_state(g, State((short, short, ok, ok))) == [
+        "player 1: path has 1 layers, graph has 2",
+        "player 2: path has 1 layers, graph has 2",
+    ]
+
+
+def test_state_from_dict_shares_rows_only_in_a_file_of_plain_ints():
+    plain = state_from_dict({"paths": [[1, 2], [2, 1], [1, 2]]})
+    assert plain.paths[0] is plain.paths[2] and plain.paths[0] is not plain.paths[1]
+    mixed = state_from_dict({"paths": [[1, 2], [True, 2], [1, 2], [1.0, 2]]})
+    assert len(set(map(id, mixed.paths))) == 4
+    assert [type(p.edge_indices[0]) for p in mixed.paths] == [int, bool, int, float]
+
+
 def test_path_length_sums_transits():
     g = LinearMultigraph.from_transits([[1, 4], [2]])
     assert path_length(g, PathChoice((2, 1))) == 6
