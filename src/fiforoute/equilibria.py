@@ -2,10 +2,10 @@
 from __future__ import annotations
 
 import random
+from bisect import insort
 from collections.abc import Iterable
 from dataclasses import dataclass
-from heapq import heappop, heappush, heapreplace
-from itertools import repeat
+from itertools import groupby, repeat
 from typing import Union
 
 from .loading import arrival_sweep, check_times_fit_int64, load
@@ -98,17 +98,26 @@ def sequential_equilibrium(game: Game, policy: TieBreakPolicy = GREEDY_QUEUE) ->
 
     Tail times never decrease: a head arrival max(t + tau_e, ready_e) only
     grows with t and with ready_e, and ready times only grow, so no player
-    reaches any node before an earlier-indexed player. This ordering
-    invariant is asserted at every step, and the returned state is an
-    equilibrium. Where the first tied edge wins (lowest-index, and
-    greedy-queue on a layer of unit edges) it lets each run of equal
-    transit keep its edges in two heaps instead of scanning them: `free`,
-    by index, for the edges already ready by t + tau, which all reach the
-    head at t + tau; and `busy`, by (ready time, index), for the rest. An
-    edge moves from busy to free once t + tau reaches its ready time and
-    never back, until it is picked. Players who take the same path share
-    one PathChoice. The default greedy-queue policy gives the equilibrium
-    of largest makespan.
+    reaches any node before an earlier-indexed player. The returned state is
+    an equilibrium, and the default greedy-queue policy gives the one of
+    largest makespan. Players who take the same path share one PathChoice.
+
+    A game of unit edges under lowest-index or greedy-queue (one rule there:
+    the first tied edge wins) is built one run of equal tail time at a time.
+    The c players who reach a layer's tail at t take the c least head slots
+    max(t + tau_e, ready_e) + 0, 1, ... in (time, edge index) order, and
+    their head times, in order, are the next layer's runs, so the ordering
+    invariant holds by construction. While c stays the same from one tail
+    time to the next, each step notes the shape of the edges: a queued edge
+    (ready_e >= t + tau_e) by its ready time less the least such, a free one
+    by a mark. Once a shape recurs after p steps, with that least ready time
+    moved by p + s, the next m periods repeat the last one shifted: the
+    column grows by the period's slice m times and each queued ready time
+    by m (p + s). For s > 0, m stops before the water level passes a free
+    edge's head t + tau_e; for s < 0, before a queued edge's ready time
+    falls below t + tau_e. Every other game is built player by player: each
+    layer's edges are scanned in index order up to the first whose transit
+    alone is too slow, and the ordering invariant is asserted at every step.
     """
     return State(_construct(game, policy))
 
@@ -121,115 +130,322 @@ def _construct(game: Game, policy: TieBreakPolicy) -> tuple[PathChoice, ...]:
     kind = policy.kind
     if kind not in _KINDS:
         raise ConstructionError(f"unknown policy kind {kind!r}")
+    if kind in ("lowest-index", "greedy-queue") and game.graph.all_unit_capacity():
+        keys: Iterable[tuple[int, ...]] = zip(*_fill_columns(game))
+    else:
+        keys = _scan_keys(game, policy)
+    path_of: dict[tuple[int, ...], PathChoice] = {}
+    paths = []
+    for key in keys:
+        path = path_of.get(key)
+        if path is None:
+            path = path_of[key] = PathChoice(key)
+        paths.append(path)
+    return tuple(paths)
+
+
+def _fill_columns(game: Game) -> list[list[int]]:
+    """Per layer, every player's 1-based edge, on a game of unit edges where
+    the first tied edge wins: the run-length path of sequential_equilibrium."""
+    # a layer's players come in blocks [t, c, length]: c players reach its
+    # tail at each of the times t, t + 1, ..., t + length - 1
+    blocks: list[list[int]] = []
+    if game.starting_pattern is None:
+        blocks.append([0, game.n, 1])
+    else:
+        for t, group in groupby(game.starting_pattern):
+            _merge_run(blocks, t, sum(1 for _ in group), 1)
+    columns = []
+    last = game.graph.num_layers
+    for j, layer in enumerate(game.graph.layers, 1):
+        taus = [e.transit for e in layer]
+        # head arrivals as runs (t, c, length) in order, a step's first run
+        # possibly at the previous run's last time; none on the last layer
+        runs: list[tuple[int, int, int]] | None = [] if j < last else None
+        if len(taus) == 1:  # one edge: a block's players follow each other from its head
+            column = [1] * game.n
+            x = 0
+            for t, c, length in blocks:
+                x = max(x, t + taus[0])
+                if runs is not None:
+                    runs.append((x, 1, c * length))
+                x += c * length
+        else:
+            ready = [0] * len(taus)
+            column = []
+            watch = 2 * len(taus)  # see _fill_block
+            for t, c, length in blocks:
+                if length <= watch:
+                    for t in range(t, t + length):
+                        _water_fill(t, c, taus, ready, column, runs)
+                else:
+                    _fill_block(t, c, t + length, taus, ready, column, runs)
+        columns.append(column)
+        if runs is not None:
+            blocks = []
+            for run in runs:
+                _merge_run(blocks, *run)
+    return columns
+
+
+def _fill_block(
+    t: int, c: int, end: int, taus: list[int], ready: list[int], column: list[int], runs: list | None
+) -> None:
+    """Water-fill c players at each tail time from t to end - 1, jumping
+    whole periods once the shape of the edges recurs.
+
+    Blocks of up to twice the layer's width k go step by step instead: k
+    edges of equal transit fed c players a step repeat with a period of at
+    most k steps once their queues have formed, so a shorter block leaves
+    no whole period to jump.
+    """
+    seen: dict[tuple, tuple[int, int, int, int, int]] = {}  # shape -> its last step
+    marks: list[tuple[int | None, int | None]] = []  # per watched step: (reach, slack)
+    while t < end:
+        watch = t + 2 < end  # a period needs a step to recur in and one to repeat
+        if watch:
+            shape = []
+            base = slack = free = None
+            for tau, r in zip(taus, ready):
+                if r >= t + tau:
+                    shape.append(r)
+                    if base is None or r < base:
+                        base = r
+                    if slack is None or r - t - tau < slack:
+                        slack = r - t - tau
+                else:
+                    shape.append(None)
+                    if free is None:
+                        free = tau  # least: the layer ascends in transit
+            if base is None:
+                base = t
+            key = tuple(None if r is None else r - base for r in shape)
+            prev = seen.get(key)
+            if prev is not None:
+                t0, offset, col0, run0, mark0 = prev
+                period, shift = t - t0, base - t - offset
+                m = _periods(period, shift, (end - t) // period, marks[mark0:])
+                if m:
+                    d = m * (period + shift)
+                    column += column[col0:] * m
+                    if runs is not None:
+                        _repeat_runs(runs, run0, period + shift, m)
+                    for e, r in enumerate(key):
+                        if r is not None:
+                            ready[e] += d
+                    t += m * period
+                    seen.clear()
+                    marks.clear()
+                    continue
+            seen[key] = (t, base - t, len(column), len(runs) if runs is not None else 0, len(marks))
+        level = _water_fill(t, c, taus, ready, column, runs)
+        if watch:
+            marks.append((None if free is None else free - (level - t), slack))
+        t += 1
+
+
+def _periods(period: int, shift: int, m: int, marks: list[tuple[int | None, int | None]]) -> int:
+    """How many of the m whole periods left in a block repeat the last one
+    shifted, from the (reach, slack) of each of its steps.
+
+    reach is how far the least free head t + tau_f lies above the water
+    level, slack how far the queued edges' ready times lie above t + tau_e
+    at least. A step repeats with the queued ready times moved by delta
+    (relative to t) while no free edge's head lies below the water level
+    (reach >= delta) and every queued edge stays queued (slack + delta >= 0).
+    A free edge at the level is never taken: queued edges precede free ones
+    in index order, as an edge taken at H leaves every lower-index edge
+    (no slower) ready by H + 1 or later. So growing queues (shift > 0) are
+    cut by reach, draining ones by slack. An edge free at the period's start
+    and taken during it is queued with slack 0 before it is free again, so
+    draining queues need no reach. With shift 0 every period repeats.
+    """
+    if not shift or not m:
+        return m
+    if shift > 0:
+        reach = [g for g, _ in marks if g is not None]
+        return max(0, min(m, min(reach) // shift)) if reach else m
+    return min(m, min(s for _, s in marks if s is not None) // -shift)
+
+
+def _repeat_runs(runs: list[tuple[int, int, int]], start: int, step: int, m: int) -> None:
+    """Append the head runs of m more periods: runs[start:] shifted by
+    i * step for i = 1 .. m.
+
+    A period's first time a may be shared with the period before it, and
+    a + step with the next (its last time b is at most a + step, as head
+    times never decrease). So the m periods go out as the first time
+    a + step, then m - 1 units, each the rest of a period (a + 1 .. b) and
+    the first time of the next, then the rest of the last period. A unit
+    with one count at each of its step times is one run for all m - 1.
+    """
+    window: list[list[int]] = []
+    for run in runs[start:]:
+        _merge_run(window, *run)
+    a, c, n = window[0]
+    rest = [[a + 1, c, n - 1]] + window[1:] if n > 1 else window[1:]
+    unit = [list(block) for block in rest]
+    _merge_run(unit, a + step, c, 1)
+    runs.append((a + step, c, 1))
+    if len(unit) == 1 and unit[0][2] == step:
+        if m > 1:
+            runs.append((unit[0][0] + step, unit[0][1], (m - 1) * step))
+    else:
+        for i in range(step, m * step, step):
+            runs.extend((t + i, count, length) for t, count, length in unit)
+    runs.extend((t + m * step, count, length) for t, count, length in rest)
+
+
+def _water_fill(
+    t: int, c: int, taus: list[int], ready: list[int], column: list[int], runs: list | None
+) -> int:
+    """Give c players at the tail at t the c least head slots in (time, edge)
+    order; returns the time of the last slot taken."""
+    heads = [r if r > t + tau else t + tau for tau, r in zip(taus, ready)]
+    if c == 1:  # one player: the first edge of least head arrival
+        x = min(heads)
+        e = heads.index(x)
+        column.append(e + 1)
+        if runs is not None:
+            runs.append((x, 1, 1))
+        ready[e] = x + 1
+        return x
+    active: list[int] = []  # the edges with a slot at x, by index
+    x = None
+    for h, e in sorted(zip(heads, range(1, len(heads) + 1))):
+        if h != x and active:  # the active edges fill the times x .. h - 1
+            a = len(active)
+            span = h - x
+            if c <= a * span:
+                break
+            column += active * span
+            if runs is not None:
+                runs.append((x, a, span))
+            c -= a * span
+        x = h
+        insort(active, e)
+    q, r = divmod(c, len(active))
+    top = x + q
+    if q:
+        column += active * q
+        if runs is not None:
+            runs.append((x, len(active), q))
+    if r:
+        column += active[:r]
+        if runs is not None:
+            runs.append((top, r, 1))
+        for e in active:
+            if heads[e - 1] < top:
+                ready[e - 1] = top
+        for e in active[:r]:
+            ready[e - 1] = top + 1
+        return top
+    for e in active:
+        ready[e - 1] = top
+    return top - 1
+
+
+def _merge_run(blocks: list[list[int]], t: int, c: int, length: int) -> None:
+    """Append c players at each of `length` times from t to blocks, adding
+    them to the last block's last time if t is that time and extending the
+    last block if it ends just before t with the same count."""
+    if blocks:
+        block = blocks[-1]
+        t0, c0, n0 = block
+        if t == t0 + n0 - 1:
+            if n0 > 1:
+                block[2] -= 1
+            else:
+                blocks.pop()
+            _merge_run(blocks, t, c0 + c, 1)
+            if length == 1:
+                return
+            t, length = t + 1, length - 1
+            block = blocks[-1]
+            t0, c0, n0 = block
+        if t == t0 + n0 and c == c0:
+            block[2] += length
+            return
+    blocks.append([t, c, length])
+
+
+def _scan_keys(game: Game, policy: TieBreakPolicy) -> list[tuple[int, ...]]:
+    """Every player's 1-based edges, built player by player."""
+    kind = policy.kind
     rng = random.Random(policy.seed) if kind == "seeded" else None
     greedy = kind == "greedy-queue"
 
     # A player reaching e's head at H departs at H - tau, the rule
     # arrival_sweep uses; a unit edge is then ready at H + 1, a wider one at
-    # d[-c] + 1 + tau from its departures d. Where the first tied edge wins,
-    # a layer is its runs of equal transit, each (tau, free, busy) with the
-    # heaps of the docstring: a run's pick is free[0], else busy[0], and a
-    # later run must reach the head strictly earlier. Elsewhere ties need
-    # every edge's ready time and, on a layer with a wider edge, a head
-    # pointer to its first departure >= t, for queue counts; as tail times
-    # never decrease, the pointers only move forward.
+    # d[-c] + 1 + tau from its departures d. The first tied edge wins under
+    # lowest-index, and under greedy-queue on a layer of unit edges. Other
+    # ties need, on a layer with a wider edge, a head pointer to each edge's
+    # first departure >= t, for queue counts; as tail times never decrease,
+    # the pointers only move forward.
     layers = []
     for layer in game.graph.layers:
         caps = [e.capacity for e in layer]
         wide = max(caps) > 1
-        departs = [[] for _ in layer] if wide else None
-        if kind == "lowest-index" or (greedy and not wide):
-            runs, tau = [], 0
-            for idx, e in enumerate(layer):
-                if e.transit != tau:
-                    tau, free = e.transit, []  # ready 0: every edge, in index order (a heap)
-                    runs.append((tau, free, []))
-                free.append(idx)
-            layers.append((None, None, caps if wide else None, departs, None, runs))
-        else:
-            taus = [e.transit for e in layer]
-            heads = [0] * len(layer) if wide else None
-            layers.append((taus, [0] * len(layer), caps if wide else None, departs, heads, None))
+        first = kind == "lowest-index" or (greedy and not wide)
+        layers.append((
+            [e.transit for e in layer],
+            [0] * len(layer),
+            caps if wide else None,
+            [[] for _ in layer] if wide else None,
+            [0] * len(layer) if wide else None,
+            first,
+        ))
 
     front = [-1] * (len(layers) + 1)  # latest arrival so far at each node
-    path_of: dict[tuple[int, ...], PathChoice] = {}
-    paths: list[PathChoice] = []
+    keys = []
     for i, t in enumerate(game.start_times()):
         if t < front[0]:
             raise ConstructionError(f"player {i + 1} starts before player {i}")
         front[0] = t
-        choice: list[int] = []
-        for j, (taus, ready, caps, departs, heads, runs) in enumerate(layers, 1):
-            if runs:
-                pick = None
-                for run in runs:
-                    tau, free, busy = run
-                    h = t + tau
-                    if pick is not None and h >= best_h:
-                        break  # runs ascend in transit: nothing earlier follows
-                    while busy and busy[0][0] <= h:
-                        heappush(free, heappop(busy)[1])
-                    if free:
-                        best, best_h, pick = free[0], h, run
-                        break
-                    if pick is None or busy[0][0] < best_h:
-                        (best_h, best), pick = busy[0], run
-                tau, free, busy = pick
-                if caps is None:
-                    r = best_h + 1
-                else:
-                    d = departs[best]
-                    d.append(best_h - tau)
-                    c = caps[best]
-                    r = d[-c] + 1 + tau if len(d) >= c else 0
-                if best_h > t + tau:
-                    heapreplace(busy, (r, best))
-                else:  # back to free at the next look if still ready by then
-                    heappop(free)
-                    heappush(busy, (r, best))
-            else:
-                best = 0
-                best_h = t + taus[0]
-                if ready[0] > best_h:
-                    best_h = ready[0]
-                tied = [0] if rng is not None else None
-                best_q = -1
-                for idx in range(1, len(taus)):
-                    tau = taus[idx]
-                    h = t + tau
-                    if h > best_h:
-                        break
-                    r = ready[idx]
-                    if r > h:
-                        h = r
-                    if h < best_h:
-                        best, best_h, best_q = idx, h, -1
-                        if rng is not None:
-                            tied = [idx]
-                    elif h == best_h:
-                        if rng is not None:
-                            tied.append(idx)
-                        elif caps is None:  # shortest-queue: larger transit, shorter queue
-                            if tau > taus[best]:
-                                best = idx
-                        else:
-                            if best_q < 0:
-                                best_q = _queued(departs, heads, best, t)
-                            q = _queued(departs, heads, idx, t)
-                            if q > best_q if greedy else q < best_q:
-                                best, best_q = idx, q
-                if rng is not None and len(tied) > 1:
-                    best = tied[rng.randrange(len(tied))]
+        choice = []
+        for j, (taus, ready, caps, departs, heads, first) in enumerate(layers, 1):
+            best = 0
+            best_h = t + taus[0]
+            if ready[0] > best_h:
+                best_h = ready[0]
+            tied = [0] if rng is not None else None
+            best_q = -1
+            for idx in range(1, len(taus)):
+                tau = taus[idx]
+                h = t + tau
+                if h > best_h:
+                    break
+                r = ready[idx]
+                if r > h:
+                    h = r
+                if h < best_h:
+                    best, best_h, best_q = idx, h, -1
+                    if rng is not None:
+                        tied = [idx]
+                elif h == best_h and not first:
+                    if rng is not None:
+                        tied.append(idx)
+                    elif caps is None:  # shortest-queue: larger transit, shorter queue
+                        if tau > taus[best]:
+                            best = idx
+                    else:
+                        if best_q < 0:
+                            best_q = _queued(departs, heads, best, t)
+                        q = _queued(departs, heads, idx, t)
+                        if q > best_q if greedy else q < best_q:
+                            best, best_q = idx, q
+            if rng is not None and len(tied) > 1:
+                best = tied[rng.randrange(len(tied))]
 
-                if caps is None:
-                    ready[best] = best_h + 1
-                else:
-                    tau = taus[best]
-                    d = departs[best]
-                    d.append(best_h - tau)
-                    c = caps[best]
-                    if len(d) >= c:
-                        ready[best] = d[-c] + 1 + tau
+            if caps is None:
+                ready[best] = best_h + 1
+            else:
+                tau = taus[best]
+                d = departs[best]
+                d.append(best_h - tau)
+                c = caps[best]
+                if len(d) >= c:
+                    ready[best] = d[-c] + 1 + tau
             t = best_h
             if t < front[j]:
                 raise ConstructionError(
@@ -237,13 +453,8 @@ def _construct(game: Game, policy: TieBreakPolicy) -> tuple[PathChoice, ...]:
                 )
             front[j] = t
             choice.append(best + 1)
-        key = tuple(choice)
-        path = path_of.get(key)
-        if path is None:
-            path = path_of[key] = PathChoice(key)
-        paths.append(path)
-
-    return tuple(paths)
+        keys.append(tuple(choice))
+    return keys
 
 
 def _queued(departs: list[list[int]], heads: list[int], e: int, t: int) -> int:

@@ -1,8 +1,11 @@
 """Sequential construction, exact verification, enumeration and policies."""
 from __future__ import annotations
 
+import hashlib
 import random
+from collections import Counter
 from itertools import product
+from math import factorial
 
 import pytest
 
@@ -18,6 +21,7 @@ from fiforoute import (
     UfrWitness,
     all_paths,
     enumerate_equilibria,
+    gen_gkl,
     gen_lower_bound_game,
     is_ufr_equilibrium,
     load,
@@ -25,6 +29,7 @@ from fiforoute import (
     seeded,
     sequential_equilibrium,
 )
+from fiforoute import equilibria
 from conftest import random_capacitated_game, random_deep_game, random_game, random_pattern, random_state
 from reference import reload_check, replay_construct, table_enumerate
 
@@ -108,8 +113,8 @@ def test_constructor_matches_replay_oracle(cap_corpus, fuzz_corpus):
 
 
 def test_constructor_matches_replay_oracle_at_deep_queues():
-    # up to 60 players on up to 5 edges per layer with transits 1..3: edges
-    # wait in the constructor's busy heaps and return to the free ones
+    # up to 60 players on up to 5 edges per layer with transits 1..3: queues
+    # build up and drain between the players' arrivals
     policies = [GREEDY_QUEUE, LOWEST_INDEX, SHORTEST_QUEUE, seeded(7)]
     rng = random.Random(60)
     waits = 0
@@ -121,6 +126,67 @@ def test_constructor_matches_replay_oracle_at_deep_queues():
             assert len(set(map(id, state.paths))) == len(set(state.paths))  # one object per path
         waits += max(map(max, load(game, state).waiting)) >= 5
     assert waits > 100  # games in which some player waits 5 steps or more
+
+
+def _block_pattern(rng: random.Random, n: int) -> tuple[int, ...]:
+    """n start times in blocks of c players at each of up to 300 consecutive
+    times, c from 1 to 8, with gaps between the blocks."""
+    pattern: list[int] = []
+    t = 0
+    while len(pattern) < n:
+        c = rng.randint(1, 8)
+        t += rng.choice([0, 1, rng.randint(2, 80)])
+        for _ in range(rng.randint(1, 300)):
+            pattern += [t] * c
+            t += 1
+    return tuple(pattern[:n])
+
+
+def test_run_length_path_matches_replay_oracle(monkeypatch):
+    # unit games fed in constant-count blocks, and gen_gkl(k, l) at n = k!
+    # with the lower-bound family's special transits moved by -2..2: queues
+    # grow, hold and drain, and the run-length path jumps whole periods;
+    # about 3 s on 2 cores
+    jumps = Counter()  # (sign of the shift, cut short by a bound)
+    periods = equilibria._periods
+
+    def spy(period, shift, m, marks):
+        got = periods(period, shift, m, marks)
+        if got:
+            jumps[(shift > 0) - (shift < 0), got < m] += 1
+        return got
+
+    monkeypatch.setattr(equilibria, "_periods", spy)
+    rng = random.Random(88)
+    games = []
+    for _ in range(24):
+        layers = [
+            sorted(rng.choice([1, 1, 2, 3, rng.randint(4, 150)]) for _ in range(rng.randint(2, 5)))
+            for _ in range(rng.randint(1, 3))
+        ]
+        n = rng.randint(200, 1500)
+        games.append(Game(LinearMultigraph.from_transits(layers), n, _block_pattern(rng, n)))
+    for k in range(2, 7):
+        n = factorial(k)
+        for l in range(k):
+            tau = {j: n // (k - j + 1) - n // (k - j + 2) + 2 + rng.randint(-2, 2) for j in range(2, k - l + 1)}
+            games.append(Game(gen_gkl(k, l, tau), n))
+    for game in games:
+        for policy in (GREEDY_QUEUE, LOWEST_INDEX):
+            assert sequential_equilibrium(game, policy) == replay_construct(game, policy), (game, policy)
+    # periods with growing, steady and draining queues; growing and
+    # draining ones also cut short by their bounds
+    assert all(jumps[sign, cut] for sign in (1, -1) for cut in (False, True)) and jumps[0, False]
+
+
+def test_lower_bound_equilibria_at_i3_are_pinned():
+    # sha256 of every player's edge indices, one byte each, player by player:
+    # the states the player-by-player constructor built for game i = 3
+    game = gen_lower_bound_game(3)
+    for policy in (GREEDY_QUEUE, LOWEST_INDEX):
+        state = sequential_equilibrium(game, policy)
+        digest = hashlib.sha256(bytes(i for p in state.paths for i in p.edge_indices)).hexdigest()
+        assert digest == "9da32dd0132c65d3c73d1549f01684d29d285e1151c2346525b8017c15f162ae", policy
 
 
 def test_nine_player_profile_is_not_an_equilibrium(nine_player_game, nine_player_state):
