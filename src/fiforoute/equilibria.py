@@ -352,17 +352,15 @@ def _merge_run(blocks: list[list[int]], t: int, c: int, length: int) -> None:
     if blocks:
         block = blocks[-1]
         t0, c0, n0 = block
-        if t == t0 + n0 - 1:
+        if t == t0 + n0 - 1:  # count them at that time, then merge the rest
             if n0 > 1:
                 block[2] -= 1
             else:
                 blocks.pop()
             _merge_run(blocks, t, c0 + c, 1)
-            if length == 1:
-                return
-            t, length = t + 1, length - 1
-            block = blocks[-1]
-            t0, c0, n0 = block
+            if length > 1:
+                _merge_run(blocks, t + 1, c, length - 1)
+            return
         if t == t0 + n0 and c == c0:
             block[2] += length
             return
