@@ -156,7 +156,7 @@ def _fill_columns(game: Game) -> list[list[int]]:
         for t, group in groupby(game.starting_pattern):
             _merge_run(blocks, t, sum(1 for _ in group), 1)
     columns = []
-    last = game.graph.num_layers
+    last = len(game.graph.layers)
     for j, layer in enumerate(game.graph.layers, 1):
         taus = [e.transit for e in layer]
         # head arrivals as runs (t, c, length) in order, a step's first run

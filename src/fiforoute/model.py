@@ -96,7 +96,7 @@ class LinearMultigraph:
         return row[index - 1]
 
     def all_unit_capacity(self) -> bool:
-        return all(e.capacity == 1 for layer in self.layers for e in layer)
+        return {e.capacity for layer in self.layers for e in layer} <= {1}
 
 
 @dataclass(frozen=True, slots=True)
