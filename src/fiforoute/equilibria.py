@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import random
-from bisect import insort
+from bisect import bisect_left, insort
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import groupby, repeat
@@ -17,7 +17,20 @@ class BudgetError(FifoRouteError):
 
 
 class ConstructionError(FifoRouteError):
-    """The sequential constructor's ordering invariant failed."""
+    """A policy of unknown kind, or a failed ordering invariant of the walk:
+    a player reached a node before a lower-index one."""
+
+
+# the policy kinds, and what a tie in head arrival does under each in the
+# walk: on a layer of unit edges and on one with a wider edge. Enumeration
+# and the check take every tied edge, as seeded does before its draw.
+_FIRST, _EVERY, _SLOWEST, _LONGEST_QUEUE, _SHORTEST_QUEUE = range(5)
+_RULES = {
+    "greedy-queue": (_FIRST, _LONGEST_QUEUE),
+    "lowest-index": (_FIRST, _FIRST),
+    "shortest-queue": (_SLOWEST, _SHORTEST_QUEUE),
+    "seeded": (_EVERY, _EVERY),
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,6 +46,12 @@ class TieBreakPolicy:
     kind: str
     seed: int | None = None
 
+    def __post_init__(self) -> None:
+        if self.kind not in _RULES:
+            raise ConstructionError(f"unknown policy kind {self.kind!r}")
+        if self.kind == "seeded" and (type(self.seed) is not int or not 0 <= self.seed < 2**64):
+            raise FifoRouteError("seed must fit in 64 bits")
+
     def __str__(self) -> str:
         if self.kind == "seeded":
             return f"seeded:{self.seed}"
@@ -43,12 +62,8 @@ GREEDY_QUEUE = TieBreakPolicy("greedy-queue")
 LOWEST_INDEX = TieBreakPolicy("lowest-index")
 SHORTEST_QUEUE = TieBreakPolicy("shortest-queue")
 
-_KINDS = ("greedy-queue", "lowest-index", "shortest-queue", "seeded")
-
 
 def seeded(seed: int) -> TieBreakPolicy:
-    if not 0 <= seed < 2**64:
-        raise FifoRouteError("seed must fit in 64 bits")
     return TieBreakPolicy("seeded", seed)
 
 
@@ -85,22 +100,14 @@ def sequential_equilibrium(game: Game, policy: TieBreakPolicy = GREEDY_QUEUE) ->
     """Insert players in index order, each walking a currently-fastest route.
 
     Each player moves layer by layer. At the tail of a layer at time t it
-    enters the edge of least head arrival max(t + tau_e, ready_e), where
-    ready_e is the earliest time a newcomer can reach e's head given all
-    lower-index players' fixed behavior (d[-c] + 1 + tau_e once e has had c
-    entrants, 0 before). Every earlier entrant entered by t, so this is t
-    plus the edge's workload. Ties in head arrival go to the policy:
-    lowest-index keeps the first tied edge; greedy-queue and shortest-queue
-    compare queue lengths; seeded draws uniformly among the tied edges. On
-    a layer of unit edges a tied edge's queue is H - t - tau_e, so the first
-    tied edge (least transit) has the longest queue and greedy-queue keeps
-    it, while shortest-queue takes a later tied edge of larger transit.
-
-    Tail times never decrease: a head arrival max(t + tau_e, ready_e) only
-    grows with t and with ready_e, and ready times only grow, so no player
-    reaches any node before an earlier-indexed player. The returned state is
-    an equilibrium, and the default greedy-queue policy gives the one of
-    largest makespan. Players who take the same path share one PathChoice.
+    enters an edge of least head arrival max(t + tau_e, ready_e), ready_e
+    being the earliest a newcomer can reach e's head behind all lower-index
+    players. Ties go to the policy: lowest-index keeps the first tied edge,
+    greedy-queue and shortest-queue compare queue lengths, seeded draws
+    uniformly. Head arrivals only grow with t and ready times, so no player
+    reaches a node before a lower-index one: the state is an equilibrium,
+    and the default greedy-queue policy gives the one of largest makespan.
+    Players who take the same path share one PathChoice.
 
     A game of unit edges under lowest-index or greedy-queue (one rule there:
     the first tied edge wins) is built one run of equal tail time at a time.
@@ -115,25 +122,18 @@ def sequential_equilibrium(game: Game, policy: TieBreakPolicy = GREEDY_QUEUE) ->
     column grows by the period's slice m times and each queued ready time
     by m (p + s). For s > 0, m stops before the water level passes a free
     edge's head t + tau_e; for s < 0, before a queued edge's ready time
-    falls below t + tau_e. Every other game is built player by player: each
-    layer's edges are scanned in index order up to the first whose transit
-    alone is too slow, and the ordering invariant is asserted at every step.
+    falls below t + tau_e. Every other game goes player by player through
+    the walk that also enumerates and checks.
     """
-    return State(_construct(game, policy))
-
-
-def _construct(game: Game, policy: TieBreakPolicy) -> tuple[PathChoice, ...]:
-    """Core sequential construction; returns one path per player."""
     bad = validate_game(game)
     if bad:
         raise ConstructionError("invalid game: " + "; ".join(bad))
-    kind = policy.kind
-    if kind not in _KINDS:
-        raise ConstructionError(f"unknown policy kind {kind!r}")
-    if kind in ("lowest-index", "greedy-queue") and game.graph.all_unit_capacity():
+    if policy.kind in ("lowest-index", "greedy-queue") and game.graph.all_unit_capacity():
         keys: Iterable[tuple[int, ...]] = zip(*_fill_columns(game))
     else:
-        keys = _scan_keys(game, policy)
+        found: list[list[int]] = []
+        _walk(game, policy, found)
+        keys = zip(*[iter(found[0])] * game.graph.num_layers)  # m edges per player
     path_of: dict[tuple[int, ...], PathChoice] = {}
     paths = []
     for key in keys:
@@ -141,7 +141,7 @@ def _construct(game: Game, policy: TieBreakPolicy) -> tuple[PathChoice, ...]:
         if path is None:
             path = path_of[key] = PathChoice(key)
         paths.append(path)
-    return tuple(paths)
+    return State(tuple(paths))
 
 
 def _fill_columns(game: Game) -> list[list[int]]:
@@ -367,102 +367,115 @@ def _merge_run(blocks: list[list[int]], t: int, c: int, length: int) -> None:
     blocks.append([t, c, length])
 
 
-def _scan_keys(game: Game, policy: TieBreakPolicy) -> list[tuple[int, ...]]:
-    """Every player's 1-based edges, built player by player."""
-    kind = policy.kind
-    rng = random.Random(policy.seed) if kind == "seeded" else None
-    greedy = kind == "greedy-queue"
+def _walk(game: Game, settle: TieBreakPolicy | State | None, found: list[list[int]]) -> int:
+    """Walk the players in index order, layer by layer, each into an edge of
+    least head arrival; returns how many players it passed.
 
-    # A player reaching e's head at H departs at H - tau, the rule
-    # arrival_sweep uses; a unit edge is then ready at H + 1, a wider one at
-    # d[-c] + 1 + tau from its departures d. The first tied edge wins under
-    # lowest-index, and under greedy-queue on a layer of unit edges. Other
-    # ties need, on a layer with a wider edge, a head pointer to each edge's
-    # first departure >= t, for queue counts; as tail times never decrease,
-    # the pointers only move forward.
+    Step s puts player s // m on layer s % m. From tail time t, edge e's
+    head arrival is max(t + tau_e, ready_e): by the rule of arrival_sweep a
+    newcomer queues behind the lower-index entrants, so ready_e is h[-c] + 1
+    once c of them reached e's head at times h, and 0 before. Layers ascend
+    in transit, so the scan stops at the first edge whose transit alone is
+    too slow. `settle` decides ties:
+    - a policy takes one tied edge. On a layer of unit edges a tied edge's
+      queue is H - t - tau_e, so greedy-queue keeps the first and
+      shortest-queue the one of largest transit; on other layers both
+      count the entrants that reach e's head at t + tau_e or later.
+    - None takes every tied edge in index order, depth first, through a
+      stack of open ties; backtracking pops the undone steps' arrivals.
+    - a State takes the profile's own edge and stops at the first player
+      whose edge misses, returning its index.
+    The 1-based edges of every complete walk go to `found`, and each step
+    asserts that head arrivals never decrease in player order.
+    """
+    m = game.graph.num_layers
+    steps = game.n * m
+    kind = settle.kind if isinstance(settle, TieBreakPolicy) else None
+    rng = random.Random(settle.seed) if kind == "seeded" else None
+    own = [e - 1 for path in settle.paths for e in path.edge_indices] if isinstance(settle, State) else None
     layers = []
     for layer in game.graph.layers:
         caps = [e.capacity for e in layer]
         wide = max(caps) > 1
-        first = kind == "lowest-index" or (greedy and not wide)
-        layers.append((
-            [e.transit for e in layer],
-            [0] * len(layer),
-            caps if wide else None,
-            [[] for _ in layer] if wide else None,
-            [0] * len(layer) if wide else None,
-            first,
-        ))
+        # head lists serve wide layers (ready times, queue counts) and undoing
+        hits = [[] for _ in layer] if wide or settle is None else None
+        rule = _RULES[kind][wide] if kind else _EVERY
+        layers.append(([e.transit for e in layer], caps, [0] * len(layer), hits, rule))
 
-    front = [-1] * (len(layers) + 1)  # latest arrival so far at each node
-    keys = []
-    for i, t in enumerate(game.start_times()):
-        if t < front[0]:
-            raise ConstructionError(f"player {i + 1} starts before player {i}")
-        front[0] = t
-        choice = []
-        for j, (taus, ready, caps, departs, heads, first) in enumerate(layers, 1):
-            best = 0
-            best_h = t + taus[0]
+    starts = game.start_times()
+    heads = [0] * (steps + m)  # head arrival per step; heads[s - m] is 0 for s < m
+    choice = [0] * steps  # the 1-based edge of each step
+    ties: list[tuple[int, list[int]]] = []  # open ties: (step, the tied edges left, last first)
+    s = 0
+    while True:
+        if s == steps:
+            while ties and not ties[-1][1]:
+                ties.pop()
+            found.append(choice[:] if ties else choice)
+            if not ties:
+                return game.n
+            while s > ties[-1][0]:  # undo the steps down to the open tie's
+                s -= 1
+                _, caps, ready, hits, _ = layers[s % m]
+                e = choice[s] - 1
+                hits[e].pop()
+                ready[e] = hits[e][-caps[e]] + 1 if len(hits[e]) >= caps[e] else 0
+        j = s % m
+        taus, caps, ready, hits, rule = layers[j]
+        if ties and ties[-1][0] == s:  # back at an open tie: its next edge
+            best, best_h = ties[-1][1].pop(), heads[s]
+        else:
+            t = heads[s - 1] if j else starts[s // m]
+            best, best_h = 0, t + taus[0]
             if ready[0] > best_h:
                 best_h = ready[0]
-            tied = [0] if rng is not None else None
-            best_q = -1
-            for idx in range(1, len(taus)):
-                tau = taus[idx]
+            tied = [0] if rule == _EVERY else None
+            for e in range(1, len(taus)):
+                tau = taus[e]
                 h = t + tau
                 if h > best_h:
                     break
-                r = ready[idx]
-                if r > h:
-                    h = r
+                if ready[e] > h:
+                    h = ready[e]
                 if h < best_h:
-                    best, best_h, best_q = idx, h, -1
-                    if rng is not None:
-                        tied = [idx]
-                elif h == best_h and not first:
-                    if rng is not None:
-                        tied.append(idx)
-                    elif caps is None:  # shortest-queue: larger transit, shorter queue
+                    best, best_h = e, h
+                    if tied is not None:
+                        tied = [e]
+                elif h == best_h and rule:
+                    if rule == _EVERY:
+                        tied.append(e)
+                    elif rule == _SLOWEST:
                         if tau > taus[best]:
-                            best = idx
+                            best = e
                     else:
-                        if best_q < 0:
-                            best_q = _queued(departs, heads, best, t)
-                        q = _queued(departs, heads, idx, t)
-                        if q > best_q if greedy else q < best_q:
-                            best, best_q = idx, q
-            if rng is not None and len(tied) > 1:
-                best = tied[rng.randrange(len(tied))]
+                        q = len(hits[e]) - bisect_left(hits[e], t + tau)
+                        q_best = len(hits[best]) - bisect_left(hits[best], t + taus[best])
+                        if q > q_best if rule == _LONGEST_QUEUE else q < q_best:
+                            best = e
+            if own is not None:
+                if own[s] not in tied:
+                    return s // m
+                best = own[s]
+            elif tied is not None and len(tied) > 1:
+                if rng is None:
+                    ties.append((s, tied[:0:-1]))
+                else:
+                    best = tied[rng.randrange(len(tied))]
 
-            if caps is None:
-                ready[best] = best_h + 1
-            else:
-                tau = taus[best]
-                d = departs[best]
-                d.append(best_h - tau)
-                c = caps[best]
-                if len(d) >= c:
-                    ready[best] = d[-c] + 1 + tau
-            t = best_h
-            if t < front[j]:
-                raise ConstructionError(
-                    f"player {i + 1} reaches node {j} at {t}, before the previous front at {front[j]}"
-                )
-            front[j] = t
-            choice.append(best + 1)
-        keys.append(tuple(choice))
-    return keys
-
-
-def _queued(departs: list[list[int]], heads: list[int], e: int, t: int) -> int:
-    """Players on edge e that depart at or after t, moving its head pointer forward."""
-    d = departs[e]
-    h = heads[e]
-    while h < len(d) and d[h] < t:
-        h += 1
-    heads[e] = h
-    return len(d) - h
+        if hits is None:
+            ready[best] = best_h + 1
+        else:
+            hits[best].append(best_h)
+            if len(hits[best]) >= caps[best]:
+                ready[best] = hits[best][-caps[best]] + 1
+        if best_h < heads[s - m]:
+            raise ConstructionError(
+                f"player {s // m + 1} reaches node {j + 1} at {best_h}, "
+                f"before the previous front at {heads[s - m]}"
+            )
+        heads[s] = best_h
+        choice[s] = best + 1
+        s += 1
 
 
 DEFAULT_PATH_BUDGET = 10_000
@@ -477,7 +490,7 @@ def is_ufr_equilibrium(
     The base load validates the game and the state. If it is ordered (at
     every node, arrivals non-decreasing in player index), each player's
     arrivals depend only on the lower-index players, whom it queues behind.
-    Replaying players in index order through _least_head then decides: one
+    The constructor's walk then replays the profile's own edges: a player
     that reaches the least head arrival on every layer cannot gain (a
     deviation never reaches a node earlier, so it overtakes no lower-index
     player and those stay put); one that misses it gains on a faster edge.
@@ -491,7 +504,8 @@ def is_ufr_equilibrium(
             f"instance too large for exact check: over the path budget of {path_budget} paths per player"
         )
     base = load(game, state).arrivals
-    first = _first_to_miss(game, state, base)
+    ordered = all(a <= b for row in base for a, b in zip(row, row[1:]))
+    first = _walk(game, state, []) if ordered else 0
     if first == game.n:
         return True
     alternatives = all_paths(game.graph)
@@ -510,20 +524,6 @@ def is_ufr_equilibrium(
     return True
 
 
-def _first_to_miss(game: Game, state: State, base: tuple[tuple[int, ...], ...]) -> int:
-    """First player of an ordered loading to miss a least head arrival (n if none); 0 if unordered."""
-    if any(a > b for row in base for a, b in zip(row, row[1:])):
-        return 0
-    layers = _layers(game)
-    for i, path in enumerate(state.paths):
-        for j, (idx, (taus, caps, departs)) in enumerate(zip(path.edge_indices, layers)):
-            h = base[j + 1][i]
-            if h != _least_head(base[j][i], taus, caps, departs)[0]:
-                return i
-            departs[idx - 1].append(h - taus[idx - 1])
-    return game.n
-
-
 def enumerate_equilibria(game: Game, state_budget: int = DEFAULT_STATE_BUDGET) -> list[State]:
     """All equilibria of a tiny game, lexicographically ordered by path choices.
 
@@ -532,10 +532,10 @@ def enumerate_equilibria(game: Game, state_budget: int = DEFAULT_STATE_BUDGET) -
     player's arrivals depend only on lower-index players, and the equilibria
     are the ordered profiles in which every player enters an edge of least
     head arrival on every layer (see is_ufr_equilibrium): the sequential
-    constructions over every tie choice. A depth-first walk, player by
-    player and layer by layer, branches over tied edges in index order,
-    which gives lexicographic order. The budget counts all num_paths**n
-    states; a game whose times could exceed int64 raises LoadingError.
+    constructions over every tie choice. The constructor's walk goes depth
+    first over the tied edges in index order, which gives lexicographic
+    order. The budget counts all num_paths**n states; a game whose times
+    could exceed int64 raises LoadingError.
     """
     if state_budget < 1:
         raise BudgetError("state budget must be positive")
@@ -550,71 +550,11 @@ def enumerate_equilibria(game: Game, state_budget: int = DEFAULT_STATE_BUDGET) -
         raise BudgetError(f"budget exceeded: {n} players have over {state_budget} states")
     check_times_fit_int64(game)
 
+    found: list[list[int]] = []
+    _walk(game, None, found)
     m = game.graph.num_layers
-    layers = _layers(game)
-    starts = game.start_times()
     path_of = {p.edge_indices: p for p in all_paths(game.graph)}
-    steps = n * m  # step s puts player s // m on layer s % m
-    choice = [0] * steps  # the 1-based edge index taken at each step
-    found: list[State] = []
-
-    def walk(s: int, t: int) -> None:
-        # Step on from s while one edge is fastest, recurse at a tie (depth
-        # below log2(len(found))), then pop the departures appended here.
-        first = s
-        while s < steps:
-            j = s % m
-            if j == 0:
-                t = starts[s // m]
-            taus, caps, departs = layers[j]
-            t, tied = _least_head(t, taus, caps, departs)
-            if len(tied) > 1:
-                for e in tied:
-                    choice[s] = e + 1
-                    departs[e].append(t - taus[e])
-                    walk(s + 1, t)
-                    departs[e].pop()
-                break
-            e = tied[0]
-            choice[s] = e + 1
-            departs[e].append(t - taus[e])
-            s += 1
-        else:
-            found.append(State(tuple(path_of[tuple(choice[k:k + m])] for k in range(0, steps, m))))
-        for q in range(first, s):
-            layers[q % m][2][choice[q] - 1].pop()
-
-    walk(0, 0)
-    return found
-
-
-def _layers(game: Game) -> list[tuple[list[int], list[int], list[list[int]]]]:
-    """Per layer: transits, capacities and an empty departure list per edge."""
-    return [
-        ([e.transit for e in layer], [e.capacity for e in layer], [[] for _ in layer])
-        for layer in game.graph.layers
-    ]
-
-
-def _least_head(t: int, taus: list[int], caps: list[int], departs: list[list[int]]) -> tuple[int, list[int]]:
-    """The least head arrival from tail time t on a layer, and the 0-based
-    edges reaching it in index order. departs[e] holds the departures of the
-    lower-index players on edge e; a newcomer queues behind them all, so by
-    the rule of arrival_sweep it reaches e's head at t + tau_e, or at
-    d[-c] + 1 + tau_e if later once c of them entered."""
-    best, tied = 0, []
-    for e, tau in enumerate(taus):
-        h = t + tau
-        if tied and h > best:
-            break  # layer sorted by transit: nothing earlier follows
-        d = departs[e]
-        if len(d) >= caps[e] and d[-caps[e]] + 1 + tau > h:
-            h = d[-caps[e]] + 1 + tau
-        if not tied or h < best:
-            best, tied = h, [e]
-        elif h == best:
-            tied.append(e)
-    return best, tied
+    return [State(tuple(path_of[key] for key in zip(*[iter(choice)] * m))) for choice in found]
 
 
 def _capped_product(factors: Iterable[int], cap: int) -> int:

@@ -7,6 +7,7 @@ the lower-bound family at desk scale, the exact limit computation, capacity
 splitting, and the flow embedding. Each test prints a one-line summary with
 its measured numbers.
 """
+import hashlib
 import math
 import random
 import time
@@ -350,10 +351,20 @@ def test_lower_bound_family_at_desk_scale():
     assert makespan3 == expected[3]
     assert sim_seconds < 60, f"full simulation took {sim_seconds:.0f}s"
     _assert_no_special(state3, specials3)
-    for policy in (LOWEST_INDEX, SHORTEST_QUEUE, seeded(43)):
+    # sha256 of every player's edge indices, one byte each, player by player,
+    # as in test_lower_bound_equilibria_at_i3_are_pinned
+    greedy_digest = "9da32dd0132c65d3c73d1549f01684d29d285e1151c2346525b8017c15f162ae"
+    digests = {
+        LOWEST_INDEX: greedy_digest,
+        SHORTEST_QUEUE: greedy_digest,
+        seeded(43): "abf67836285e3f7a78c6d6dfaaf26036742eb1f985cb58066390c1b943a782a9",
+    }
+    for policy, digest in digests.items():
         state = sequential_equilibrium(game3, policy)
         _assert_no_special(state, specials3)
         assert load(game3, state).makespan == expected[3], str(policy)
+        edges = bytes(i for p in state.paths for i in p.edge_indices)
+        assert hashlib.sha256(edges).hexdigest() == digest, str(policy)
 
     r1, r2 = pos_ratio(1), pos_ratio(2)
     r3 = Fraction(makespan3, min_horizon(game3))

@@ -14,10 +14,13 @@ from fiforoute import (
     LOWEST_INDEX,
     SHORTEST_QUEUE,
     BudgetError,
+    ConstructionError,
+    FifoRouteError,
     Game,
     LinearMultigraph,
     PathChoice,
     State,
+    TieBreakPolicy,
     UfrWitness,
     all_paths,
     enumerate_equilibria,
@@ -42,6 +45,15 @@ def test_policy_names_round_trip():
     assert parse_policy("seeded", default_seed=7) == seeded(7)
     with pytest.raises(Exception):
         parse_policy("fastest")
+
+
+def test_policy_rejects_unknown_kinds_and_bad_seeds():
+    with pytest.raises(ConstructionError, match="unknown policy kind 'fastest'"):
+        TieBreakPolicy("fastest")
+    for seed in (None, 2**64, -1, "7", True):
+        with pytest.raises(FifoRouteError, match="seed must fit in 64 bits"):
+            TieBreakPolicy("seeded", seed)
+    assert TieBreakPolicy("seeded", 2**64 - 1) == seeded(2**64 - 1)
 
 
 def test_greedy_on_worked_example(two_layer_game):
