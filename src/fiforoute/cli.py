@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from fractions import Fraction
 
@@ -26,11 +25,13 @@ from .instances import SIMULATION_CAP, lower_bound_row
 from .loading import load, trace_rows
 from .model import (
     FifoRouteError,
+    Game,
     game_to_dict,
     load_game_file,
     load_state_file,
     state_to_dict,
     validate_game,
+    write_json,
 )
 from .optimum import min_horizon, optimal_state
 
@@ -53,8 +54,16 @@ LOWERBOUND_COLUMNS = [
 
 
 def _emit(data: dict | list) -> None:
-    sys.stdout.write(json.dumps(data))  # dumps, unlike dump, runs the C encoder
-    sys.stdout.write("\n")
+    write_json(data, sys.stdout)
+
+
+def _simulable_game(path: str) -> Game:
+    """The game in a file, refused before any per-player column is built when
+    it has more players than `lowerbound --mode simulate` would simulate."""
+    game = load_game_file(path)
+    if game.n > SIMULATION_CAP:
+        raise FifoRouteError(f"n = {game.n} exceeds the simulation cap {SIMULATION_CAP}")
+    return game
 
 
 def _trace_csv(result) -> None:
@@ -73,25 +82,25 @@ def cmd_load(args: argparse.Namespace) -> int:
         _trace_csv(result)
         return EXIT_OK
     report = {
-        "arrivals": [list(row) for row in result.arrivals],
-        "completions": list(result.completions),
+        "arrivals": result.arrivals,
+        "completions": result.completions,
         "makespan": result.makespan,
     }
     if args.trace:
-        report["trace"] = [list(row) for row in trace_rows(result)]
+        report["trace"] = list(trace_rows(result))
     _emit(report)
     return EXIT_OK
 
 
 def cmd_eq(args: argparse.Namespace) -> int:
-    game = load_game_file(args.game)
+    game = _simulable_game(args.game)
     policy = parse_policy(args.policy, default_seed=args.seed)
     state = sequential_equilibrium(game, policy)
     result = load(game, state)
     _emit(
         {
             "policy": str(policy),
-            "paths": [list(p.edge_indices) for p in state.paths],
+            "paths": [p.edge_indices for p in state.paths],
             "makespan": result.makespan,
         }
     )
@@ -99,22 +108,22 @@ def cmd_eq(args: argparse.Namespace) -> int:
 
 
 def cmd_opt(args: argparse.Namespace) -> int:
-    game = load_game_file(args.game)
+    game = _simulable_game(args.game)
     plan = optimal_state(game)
     _emit(
         {
             "horizon": plan.horizon,
-            "paths": [list(p.edge_indices) for p in plan.paths],
-            "counts": list(plan.counts),
-            "deltas": list(plan.deltas),
-            "certificate": list(plan.certificate),
+            "paths": [p.edge_indices for p in plan.paths],
+            "counts": plan.counts,
+            "deltas": plan.deltas,
+            "certificate": plan.certificate,
         }
     )
     return EXIT_OK
 
 
 def cmd_poa(args: argparse.Namespace) -> int:
-    game = load_game_file(args.game)
+    game = _simulable_game(args.game)
     state = sequential_equilibrium(game)
     worst = load(game, state).makespan
     horizon = min_horizon(game)
@@ -151,7 +160,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             "count": len(states),
             "equilibria": [
                 {
-                    "paths": [list(p.edge_indices) for p in st.paths],
+                    "paths": [p.edge_indices for p in st.paths],
                     "makespan": load(game, st).makespan,
                 }
                 for st in states

@@ -41,6 +41,8 @@ class TieBreakPolicy:
     lowest-index: lowest edge index.
     shortest-queue: shortest queue first, then lowest edge index.
     seeded: uniform among tied edges via a deterministic PRNG.
+
+    Only the seeded kind takes a seed, an int in [0, 2^64).
     """
 
     kind: str
@@ -49,8 +51,11 @@ class TieBreakPolicy:
     def __post_init__(self) -> None:
         if self.kind not in _RULES:
             raise ConstructionError(f"unknown policy kind {self.kind!r}")
-        if self.kind == "seeded" and (type(self.seed) is not int or not 0 <= self.seed < 2**64):
-            raise FifoRouteError("seed must fit in 64 bits")
+        if self.kind == "seeded":
+            if type(self.seed) is not int or not 0 <= self.seed < 2**64:
+                raise FifoRouteError("seed must fit in 64 bits")
+        elif self.seed is not None:
+            raise FifoRouteError(f"policy {self.kind} takes no seed")
 
     def __str__(self) -> str:
         if self.kind == "seeded":

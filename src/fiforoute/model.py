@@ -342,16 +342,21 @@ def load_state_file(path: str) -> State:
     return state_from_dict(_read_json(path))
 
 
+def write_json(data, fh) -> None:
+    """Write data as one line of JSON; dumps, unlike dump, runs the C encoder."""
+    fh.write(json.dumps(data))
+    fh.write("\n")
+
+
 def save_game_file(game: Game, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(game_to_dict(game), fh)
-        fh.write("\n")
+        write_json(game_to_dict(game), fh)
 
 
 def save_state_file(state: State, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(state_to_dict(state), fh)
-        fh.write("\n")
+        # the shared tuples themselves: JSON writes a tuple as a list
+        write_json({"paths": [p.edge_indices for p in state.paths]}, fh)
 
 
 def all_paths(graph: LinearMultigraph) -> list[PathChoice]:

@@ -39,6 +39,7 @@ from fiforoute import (
     optimal_state,
     pos_ratio,
     queue_sum,
+    save_state_file,
     seeded,
     sequential_equilibrium,
     special_edge_indices,
@@ -327,7 +328,7 @@ def test_optimal_schedules_are_certified(fuzz_corpus):
     )
 
 
-def test_lower_bound_family_at_desk_scale():
+def test_lower_bound_family_at_desk_scale(tmp_path):
     params = {i: LowerBoundParams.for_index(i) for i in (1, 2, 3)}
     expected = {1: 4, 2: 243, 3: 90725}
     # closed form first, simulation second
@@ -371,10 +372,22 @@ def test_lower_bound_family_at_desk_scale():
     assert r1 == 1
     assert r2 == Fraction(243, 170)
     assert r1 < r2 < r3
+
+    # the writer runs json's C encoder; json.dump's pure-Python one took 1.2-2.0 s on 2 cores
+    opt3 = optimal_state(game3).state
+    save_seconds = min(_timed_save(opt3, tmp_path / "opt.json") for _ in range(3))
+    assert save_seconds < 0.8, f"save_state_file took {save_seconds:.2f}s"
     print(
         f"\nlower-bound family: makespans 4/243/90725 under every policy, no special edges, "
-        f"ratios 1 < 243/170 < {float(r3):.4f}, full simulation {sim_seconds:.1f}s"
+        f"ratios 1 < 243/170 < {float(r3):.4f}, full simulation {sim_seconds:.1f}s, "
+        f"optimal profile saved in {save_seconds:.2f}s"
     )
+
+
+def _timed_save(state: State, path) -> float:
+    t0 = time.perf_counter()
+    save_state_file(state, str(path))
+    return time.perf_counter() - t0
 
 
 def _assert_no_special(state: State, specials: dict[int, range]) -> None:

@@ -9,9 +9,14 @@ from fiforoute import (
     LinearMultigraph,
     PathChoice,
     State,
+    enumerate_equilibria,
     gen_lower_bound_game,
+    load,
+    optimal_state,
     save_game_file,
     save_state_file,
+    sequential_equilibrium,
+    trace_rows,
 )
 from fiforoute.cli import LOWERBOUND_COLUMNS, main
 
@@ -34,6 +39,7 @@ def run(capsys, *argv):
 TWO_LAYER = {"layers": [[1, 2], [2]], "n": 3}
 TWO_LAYER_PATHS = {"paths": [[1, 1], [2, 1], [1, 1]]}
 HUGE_START = {"layers": [[1]], "n": 2, "starting_pattern": [2**63 - 1, 2**63 - 1]}
+HUGE_N = {"layers": [[1, 2]], "n": 10**11}  # refused before one column of n entries is built
 
 
 @pytest.mark.parametrize(
@@ -58,12 +64,15 @@ HUGE_START = {"layers": [[1]], "n": 2, "starting_pattern": [2**63 - 1, 2**63 - 1
         ("load", TWO_LAYER, {"paths": [[1, 1], [True, 1], [1.0, 1]]},
          "game: player 2: layer 1 has no edge True; player 3: layer 1 has no edge 1.0"),
         ("load", TWO_LAYER, {"paths": [[1, 1], [[1], 1], [1, 1]]}, "game: player 2: layer 1 has no edge [1]"),
+        ("eq", HUGE_N, None, "n = 100000000000 exceeds the simulation cap 1000000"),
+        ("opt", HUGE_N, None, "n = 100000000000 exceeds the simulation cap 1000000"),
+        ("poa", HUGE_N, None, "n = 100000000000 exceeds the simulation cap 1000000"),
     ],
     ids=[
         "load-layers", "load-paths", "load-pattern", "eq-layers", "eq-pattern", "opt-layers", "opt-pattern",
         "split-capacity", "load-huge-start", "eq-huge-start", "enumerate-huge-start",
         "check-ufr-huge-start", "check-ufr-paths", "enumerate-many-states", "check-ufr-many-paths",
-        "load-paths-equal-to-1", "load-paths-list-entry",
+        "load-paths-equal-to-1", "load-paths-list-entry", "eq-huge-n", "opt-huge-n", "poa-huge-n",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, command, game, state, message):
@@ -248,6 +257,54 @@ def test_enumerate_state_budget(two_layer_files, capsys):
     code, _, err = run(capsys, "enumerate", g, "--state-budget", "2")
     assert code == 2
     assert err.startswith("error:")
+
+
+def test_reports_are_dumps_of_the_library_results(nine_player_game, nine_player_state, tmp_path, capsys):
+    # pins stdout to json.dumps of each report built from the library with lists, and a newline
+    game, state = nine_player_game, nine_player_state
+    g, s = str(tmp_path / "nine.json"), str(tmp_path / "nine_state.json")
+    save_game_file(game, g)
+    save_state_file(state, s)
+    budget = game.num_paths() ** game.n
+
+    def lists(paths):
+        return [list(p.edge_indices) for p in paths]
+
+    result = load(game, state)
+    loaded = {
+        "arrivals": [list(row) for row in result.arrivals],
+        "completions": list(result.completions),
+        "makespan": result.makespan,
+    }
+    eq = sequential_equilibrium(game)
+    plan = optimal_state(game)
+    states = enumerate_equilibria(game, state_budget=budget)
+    reports = [
+        (("load", g, s), loaded),
+        (("load", g, s, "--trace"), dict(loaded, trace=[list(row) for row in trace_rows(result)])),
+        (("eq", g), {"policy": "greedy-queue", "paths": lists(eq.paths), "makespan": load(game, eq).makespan}),
+        (
+            ("opt", g),
+            {
+                "horizon": plan.horizon,
+                "paths": lists(plan.paths),
+                "counts": list(plan.counts),
+                "deltas": list(plan.deltas),
+                "certificate": list(plan.certificate),
+            },
+        ),
+        (
+            ("enumerate", g, "--state-budget", str(budget)),
+            {
+                "count": len(states),
+                "equilibria": [{"paths": lists(st.paths), "makespan": load(game, st).makespan} for st in states],
+            },
+        ),
+    ]
+    for argv, report in reports:
+        code, out, _ = run(capsys, *argv)
+        assert code == 0, argv
+        assert out == json.dumps(report) + "\n", argv
 
 
 def test_check_ufr_verdicts(two_layer_files, nine_player_game, nine_player_state, tmp_path, capsys):

@@ -56,6 +56,14 @@ def test_policy_rejects_unknown_kinds_and_bad_seeds():
     assert TieBreakPolicy("seeded", 2**64 - 1) == seeded(2**64 - 1)
 
 
+def test_policy_equals_the_parse_of_its_name():
+    # a seed on a kind that ignores it would print away and break equality
+    for policy in (GREEDY_QUEUE, LOWEST_INDEX, SHORTEST_QUEUE, seeded(42)):
+        assert parse_policy(str(policy)) == policy
+    with pytest.raises(FifoRouteError, match="policy lowest-index takes no seed"):
+        TieBreakPolicy("lowest-index", 3)
+
+
 def test_greedy_on_worked_example(two_layer_game):
     st = sequential_equilibrium(two_layer_game, GREEDY_QUEUE)
     assert [p.edge_indices for p in st.paths] == [(1, 1), (1, 1), (2, 1)]

@@ -20,12 +20,14 @@ from fiforoute import (
     all_paths,
     game_from_dict,
     game_to_dict,
+    gen_lower_bound_game,
     kth_cheapest_path,
     load_game_file,
     path_length,
     save_game_file,
     save_state_file,
     load_state_file,
+    optimal_state,
     state_from_dict,
     state_to_dict,
     validate_game,
@@ -177,6 +179,20 @@ def test_state_file_round_trip(tmp_path):
     path = tmp_path / "state.json"
     save_state_file(st, str(path))
     assert load_state_file(str(path)) == st
+
+
+def test_file_writers_write_dumps_of_the_dict_form(tmp_path):
+    # pins the bytes: a file is json.dumps of game_to_dict / state_to_dict and a newline
+    graph = LinearMultigraph.from_transits([[3, 1, 2], [2, 2]], [[2, 1, 1], [1, 3]])
+    game = Game(graph, 4, (0, 0, 1, 5))
+    path = tmp_path / "game.json"
+    save_game_file(game, str(path))
+    assert path.read_bytes() == (json.dumps(game_to_dict(game)) + "\n").encode()
+    a, b = PathChoice((1, 2)), PathChoice((2, 1))
+    for st in (optimal_state(gen_lower_bound_game(2)).state, State((a, b, a, a, b))):
+        path = tmp_path / "state.json"
+        save_state_file(st, str(path))
+        assert path.read_bytes() == (json.dumps(state_to_dict(st)) + "\n").encode()
 
 
 def test_load_game_file_rejects_bad_json(tmp_path):
