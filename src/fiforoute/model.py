@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 from itertools import chain
 from math import prod
 from operator import countOf
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 
 class FifoRouteError(Exception):
@@ -342,7 +342,7 @@ def load_state_file(path: str) -> State:
     return state_from_dict(_read_json(path))
 
 
-def write_json(data, fh) -> None:
+def write_json(data: dict | list, fh: TextIO) -> None:
     """Write data as one line of JSON; dumps, unlike dump, runs the C encoder."""
     fh.write(json.dumps(data))
     fh.write("\n")
