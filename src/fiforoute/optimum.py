@@ -12,7 +12,6 @@ from .model import (
     State,
     kth_cheapest_path,
     path_length,
-    validate_game,
 )
 
 
@@ -62,9 +61,6 @@ def max_packets(graph: LinearMultigraph, horizon: int) -> int:
 
 
 def _require_plain(game: Game, what: str) -> None:
-    bad = validate_game(game)
-    if bad:
-        raise PlanError("invalid game: " + "; ".join(bad))
     if not game.graph.all_unit_capacity():
         raise PlanError(f"{what} requires unit capacities; split capacities first")
     if game.starting_pattern is not None and any(t != 0 for t in game.starting_pattern):

@@ -40,6 +40,7 @@ TWO_LAYER = {"layers": [[1, 2], [2]], "n": 3}
 TWO_LAYER_PATHS = {"paths": [[1, 1], [2, 1], [1, 1]]}
 HUGE_START = {"layers": [[1]], "n": 2, "starting_pattern": [2**63 - 1, 2**63 - 1]}
 HUGE_N = {"layers": [[1, 2]], "n": 10**11}  # refused before one column of n entries is built
+ZERO_CAPACITY = dict(TWO_LAYER, capacities=[[1, 0], [1]])
 
 
 @pytest.mark.parametrize(
@@ -52,7 +53,7 @@ HUGE_N = {"layers": [[1, 2]], "n": 10**11}  # refused before one column of n ent
         ("eq", dict(TWO_LAYER, starting_pattern=[0, "1", 2]), None, "'starting_pattern'"),
         ("opt", {"layers": [[1, "2"], [2]], "n": 3}, None, "'layers'"),
         ("opt", dict(TWO_LAYER, starting_pattern=[0, "1", 2]), None, "'starting_pattern'"),
-        ("split", dict(TWO_LAYER, capacities=[[1, 0], [1]]), None, "capacity must be an integer >= 1"),
+        ("split", ZERO_CAPACITY, None, "capacity must be an integer >= 1"),
         ("load", HUGE_START, {"paths": [[1], [1]]}, "int64"),
         ("eq", HUGE_START, None, "int64"),
         ("enumerate", HUGE_START, None, "int64"),
@@ -67,12 +68,18 @@ HUGE_N = {"layers": [[1, 2]], "n": 10**11}  # refused before one column of n ent
         ("eq", HUGE_N, None, "n = 100000000000 exceeds the simulation cap 1000000"),
         ("opt", HUGE_N, None, "n = 100000000000 exceeds the simulation cap 1000000"),
         ("poa", HUGE_N, None, "n = 100000000000 exceeds the simulation cap 1000000"),
+        ("enumerate", {"layers": [[1]], "n": 10**11}, None, "n = 100000000000 exceeds the simulation cap 1000000"),
+        ("enumerate", ZERO_CAPACITY, None, "capacity must be an integer >= 1"),
+        ("check-ufr", ZERO_CAPACITY, TWO_LAYER_PATHS, "capacity must be an integer >= 1"),
+        ("flow", ZERO_CAPACITY, TWO_LAYER_PATHS, "capacity must be an integer >= 1"),
+        ("poa", ZERO_CAPACITY, None, "capacity must be an integer >= 1"),
     ],
     ids=[
         "load-layers", "load-paths", "load-pattern", "eq-layers", "eq-pattern", "opt-layers", "opt-pattern",
         "split-capacity", "load-huge-start", "eq-huge-start", "enumerate-huge-start",
         "check-ufr-huge-start", "check-ufr-paths", "enumerate-many-states", "check-ufr-many-paths",
         "load-paths-equal-to-1", "load-paths-list-entry", "eq-huge-n", "opt-huge-n", "poa-huge-n",
+        "enumerate-huge-n", "enumerate-capacity", "check-ufr-capacity", "flow-capacity", "poa-capacity",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, command, game, state, message):

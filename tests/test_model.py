@@ -11,6 +11,9 @@ import pytest
 
 import fiforoute
 from fiforoute import (
+    GREEDY_QUEUE,
+    LOWEST_INDEX,
+    SHORTEST_QUEUE,
     Edge,
     Game,
     LinearMultigraph,
@@ -18,16 +21,22 @@ from fiforoute import (
     PathChoice,
     State,
     all_paths,
+    enumerate_equilibria,
     game_from_dict,
     game_to_dict,
     gen_lower_bound_game,
+    is_ufr_equilibrium,
     kth_cheapest_path,
+    load,
     load_game_file,
+    min_horizon,
     path_length,
     save_game_file,
     save_state_file,
     load_state_file,
     optimal_state,
+    seeded,
+    sequential_equilibrium,
     state_from_dict,
     state_to_dict,
     validate_game,
@@ -59,20 +68,53 @@ def test_validate_game_flags_unsorted_layer():
     layers = (
         (Edge(1, 1, 2, 1), Edge(1, 2, 1, 1)),
     )
-    g = Game(LinearMultigraph(layers), 2)
-    assert any("layer 1 not sorted" in v for v in validate_game(g))
+    with pytest.raises(ModelError, match="layer 1 not sorted"):
+        Game(LinearMultigraph(layers), 2)
 
 
 def test_validate_game_flags_decreasing_pattern():
-    g = Game(LinearMultigraph.from_transits([[1]]), 2, (3, 1))
-    assert any("starting pattern not non-decreasing" in v for v in validate_game(g))
+    with pytest.raises(ModelError, match="starting pattern not non-decreasing"):
+        Game(LinearMultigraph.from_transits([[1]]), 2, (3, 1))
 
 
 def test_validate_game_checks_sizes():
-    g = Game(LinearMultigraph.from_transits([[1]]), 2, (0,))
-    assert any("starting pattern" in v for v in validate_game(g))
-    g2 = Game(LinearMultigraph.from_transits([[1]]), 0)
-    assert validate_game(g2)
+    with pytest.raises(ModelError, match="starting pattern"):
+        Game(LinearMultigraph.from_transits([[1]]), 2, (0,))
+    with pytest.raises(ModelError, match="invalid game: player count must be >= 1"):
+        Game(LinearMultigraph.from_transits([[1]]), 0)
+
+
+def test_game_stores_a_list_pattern_as_a_tuple():
+    pattern = [0, 0, 1]
+    g = Game(LinearMultigraph.from_transits([[1]]), 3, pattern)
+    pattern[0] = 5  # a later change to the list cannot unsort the game's pattern
+    assert g.starting_pattern == (0, 0, 1)
+    assert g == Game(LinearMultigraph.from_transits([[1]]), 3, (0, 0, 1))
+    assert hash(g) == hash(Game(LinearMultigraph.from_transits([[1]]), 3, (0, 0, 1)))
+
+
+def test_a_game_is_validated_once_when_built(monkeypatch, two_layer_state):
+    calls = []
+
+    def counted(game):
+        calls.append(game)
+        return validate_game(game)
+
+    monkeypatch.setattr(fiforoute.model, "validate_game", counted)
+    game = Game(LinearMultigraph.from_transits([[1, 2], [2]]), 3)
+    assert calls == [game]
+    wide = Game(LinearMultigraph.from_transits([[1, 2], [2]], [[2, 1], [1]]), 3, [0, 1, 1])
+    assert calls == [game, wide]
+    calls.clear()
+    for g, st in ((game, two_layer_state), (wide, State((PathChoice((1, 1)),) * 3))):
+        load(g, st)
+        for policy in (GREEDY_QUEUE, LOWEST_INDEX, SHORTEST_QUEUE, seeded(7)):
+            sequential_equilibrium(g, policy)
+        is_ufr_equilibrium(g, st)
+        enumerate_equilibria(g)
+    min_horizon(game)
+    optimal_state(game)
+    assert calls == []
 
 
 def test_validate_state_checks_indices_and_count():
