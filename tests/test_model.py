@@ -100,7 +100,9 @@ def test_a_game_is_validated_once_when_built(monkeypatch, two_layer_state):
         calls.append(game)
         return validate_game(game)
 
-    monkeypatch.setattr(fiforoute.model, "validate_game", counted)
+    for name, module in list(sys.modules.items()):  # under every name a module imported it as
+        if name.split(".")[0] == "fiforoute" and getattr(module, "validate_game", None) is validate_game:
+            monkeypatch.setattr(module, "validate_game", counted)
     game = Game(LinearMultigraph.from_transits([[1, 2], [2]]), 3)
     assert calls == [game]
     wide = Game(LinearMultigraph.from_transits([[1, 2], [2]], [[2, 1], [1]]), 3, [0, 1, 1])
