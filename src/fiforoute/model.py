@@ -40,16 +40,20 @@ class LinearMultigraph:
     edge of layer j goes from v_{j-1} to v_j. Within a layer, edges are kept
     sorted by non-decreasing transit time; `input_order[j-1][i-1]` remembers
     which 1-based position of the constructor input became sorted index i, so
-    reports can refer back to the caller's ordering.
+    reports can refer back to the caller's ordering. `unit_capacity` is
+    computed when the graph is built, so every pickle of it holds the field.
     """
 
     layers: tuple[tuple[Edge, ...], ...]
     input_order: tuple[tuple[int, ...], ...] = field(default=())
+    unit_capacity: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.input_order:
             ident = tuple(tuple(range(1, len(layer) + 1)) for layer in self.layers)
             object.__setattr__(self, "input_order", ident)
+        caps = {e.capacity for layer in self.layers for e in layer}
+        object.__setattr__(self, "unit_capacity", caps <= {1})
 
     @classmethod
     def from_transits(
@@ -96,7 +100,7 @@ class LinearMultigraph:
         return row[index - 1]
 
     def all_unit_capacity(self) -> bool:
-        return {e.capacity for layer in self.layers for e in layer} <= {1}
+        return self.unit_capacity
 
 
 @dataclass(frozen=True, slots=True)
@@ -312,6 +316,13 @@ def _is_int_rows(value) -> bool:
     )
 
 
+def _plain_int_rows(rows: list, row_type: type) -> bool:
+    """Whether every row is a row_type of plain ints: no bools, floats or nesting."""
+    return countOf(map(type, rows), row_type) == len(rows) and countOf(
+        map(type, chain.from_iterable(rows)), int
+    ) == sum(map(len, rows))
+
+
 def state_to_dict(state: State) -> dict:
     return {"paths": [list(p.edge_indices) for p in state.paths]}
 
@@ -322,7 +333,7 @@ def state_from_dict(data: dict) -> State:
     paths = data["paths"]
     if not isinstance(paths, list) or not all(isinstance(row, list) for row in paths):
         raise ModelError("'paths' must be a list of integer lists")
-    if countOf(map(type, chain.from_iterable(paths)), int) != sum(map(len, paths)):
+    if not _plain_int_rows(paths, list):
         # True and 1.0 equal 1 and a list has no hash: share nothing, so
         # validate_state names every bad entry
         return State(tuple(PathChoice(tuple(row)) for row in paths))
@@ -331,22 +342,65 @@ def state_from_dict(data: dict) -> State:
     return State(tuple(map(shared.__getitem__, rows)))
 
 
-def _read_json(path: str):
-    """The JSON document in a file; ModelError if it is not UTF-8, not JSON,
-    nested too deeply or holds an integer too long to convert."""
+# The state writer's form: _PATHS_HEAD + _ROW_SEP.join(rows) + _PATHS_TAIL,
+# each row its ints joined by ", ", which is json.dumps of the dict form
+_PATHS_HEAD, _ROW_SEP, _PATHS_TAIL = '{"paths": [[', "], [", "]]}"
+
+
+def _read_text(path: str) -> str:
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
-        except (ValueError, RecursionError) as err:  # ValueError: JSON, UTF-8 and int-digit errors
+            return fh.read()
+        except ValueError as err:  # not UTF-8
             raise ModelError(f"{path}: invalid JSON ({err})") from None
 
 
+def _parse_json(text: str, path: str):
+    """The JSON document in a file's text; ModelError if it is not JSON,
+    nested too deeply or holds an integer too long to convert."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as err:  # ValueError: JSON and int-digit errors
+        raise ModelError(f"{path}: invalid JSON ({err})") from None
+
+
+def _state_from_writer_text(text: str) -> State | None:
+    """The state in a text of the writer's form, each distinct row parsed once.
+
+    None for any other text, and for rows that do not parse or are not flat
+    lists of plain ints, so that such files meet state_from_dict's rules.
+    """
+    body = text.rstrip(" \t\n\r")  # JSON whitespace
+    if not (body.startswith(_PATHS_HEAD) and body.endswith(_PATHS_TAIL)):
+        return None
+    pieces = body[len(_PATHS_HEAD) : -len(_PATHS_TAIL)].split(_ROW_SEP)
+    texts = list(dict.fromkeys(pieces))
+    try:
+        rows = json.loads("[[" + _ROW_SEP.join(texts) + "]]")
+    except (ValueError, RecursionError):
+        return None
+    # one flat int list per text proves that no text holds a bracket, so the
+    # file is the JSON {"paths": [...]} of these rows
+    if len(rows) != len(texts) or not _plain_int_rows(rows, list):
+        return None
+    keys = list(map(tuple, rows))
+    shared = {key: PathChoice(key) for key in dict.fromkeys(keys)}  # one per distinct path
+    by_text = dict(zip(texts, map(shared.__getitem__, keys)))
+    return State(tuple(map(by_text.__getitem__, pieces)))
+
+
 def load_game_file(path: str) -> Game:
-    return game_from_dict(_read_json(path))
+    return game_from_dict(_parse_json(_read_text(path), path))
 
 
 def load_state_file(path: str) -> State:
-    return state_from_dict(_read_json(path))
+    """Read a state file; the writer's form takes a fast path, any other JSON
+    goes through json.loads and state_from_dict."""
+    text = _read_text(path)
+    state = _state_from_writer_text(text)
+    if state is None:
+        state = state_from_dict(_parse_json(text, path))
+    return state
 
 
 def write_json(data: dict | list, fh: TextIO) -> None:
@@ -361,9 +415,20 @@ def save_game_file(game: Game, path: str) -> None:
 
 
 def save_state_file(state: State, path: str) -> None:
+    """Write json.dumps(state_to_dict(state)) and a newline, encoding each
+    distinct PathChoice object once."""
+    paths = state.paths
+    distinct = dict(zip(map(id, paths), paths))
+    rows = [p.edge_indices for p in distinct.values()]
     with open(path, "w", encoding="utf-8") as fh:
-        # the shared tuples themselves: JSON writes a tuple as a list
-        write_json({"paths": [p.edge_indices for p in state.paths]}, fh)
+        if not rows or not _plain_int_rows(rows, tuple):
+            write_json(state_to_dict(state), fh)
+            return
+        # rows of plain ints encode as "[[" + _ROW_SEP.join(row texts) + "]]"
+        texts = dict(zip(distinct, json.dumps(rows)[2:-2].split(_ROW_SEP)))
+        fh.write(_PATHS_HEAD)
+        fh.write(_ROW_SEP.join(map(texts.__getitem__, map(id, paths))))
+        fh.write(_PATHS_TAIL + "\n")
 
 
 def all_paths(graph: LinearMultigraph) -> list[PathChoice]:

@@ -33,6 +33,7 @@ from fiforoute import (
     is_ufr_equilibrium,
     limit_bound,
     load,
+    load_state_file,
     map_state_to_split,
     max_packets,
     min_horizon,
@@ -377,10 +378,14 @@ def test_lower_bound_family_at_desk_scale(tmp_path):
     opt3 = optimal_state(game3).state
     save_seconds = min(_timed_save(opt3, tmp_path / "opt.json") for _ in range(3))
     assert save_seconds < 0.8, f"save_state_file took {save_seconds:.2f}s"
+    # the reader parses the file's 9 distinct rows once each; json.load of all
+    # 362 880 rows and state_from_dict took 0.75-0.84 s on 2 cores
+    read_seconds = min(_timed_read(opt3, tmp_path / "opt.json") for _ in range(3))
+    assert read_seconds < 0.4, f"load_state_file took {read_seconds:.2f}s"
     print(
         f"\nlower-bound family: makespans 4/243/90725 under every policy, no special edges, "
         f"ratios 1 < 243/170 < {float(r3):.4f}, full simulation {sim_seconds:.1f}s, "
-        f"optimal profile saved in {save_seconds:.2f}s"
+        f"optimal profile saved in {save_seconds:.2f}s, read in {read_seconds:.2f}s"
     )
 
 
@@ -388,6 +393,14 @@ def _timed_save(state: State, path) -> float:
     t0 = time.perf_counter()
     save_state_file(state, str(path))
     return time.perf_counter() - t0
+
+
+def _timed_read(state: State, path) -> float:
+    t0 = time.perf_counter()
+    again = load_state_file(str(path))
+    seconds = time.perf_counter() - t0
+    assert again == state
+    return seconds
 
 
 def _assert_no_special(state: State, specials: dict[int, range]) -> None:

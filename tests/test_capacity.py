@@ -23,7 +23,7 @@ def test_split_one_wide_edge():
     game = Game(graph, 2, None)
     split, mapping = split_capacities(game)
     assert [e.transit for e in split.graph.layers[0]] == [1, 1]
-    assert split.graph.all_unit_capacity
+    assert split.graph.all_unit_capacity()
     assert mapping == {(1, 1): (1, 2)}
 
 

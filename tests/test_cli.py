@@ -96,17 +96,22 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, game, state, message
     assert err.startswith("error:") and message in err
 
 
+UNREADABLE = [
+    b'{"layers": [[1, 2], [2]], "n": 3, "note": "\xff"}',
+    b"[" * 100_000 + b"]" * 100_000,
+    b'{"layers": [[1, 2], [2]], "n": 1' + b"0" * 5_000 + b"}",
+]
+
+
 @pytest.mark.parametrize(
     "content",
-    [
-        b'{"layers": [[1, 2], [2]], "n": 3, "note": "\xff"}',
-        b"[" * 100_000 + b"]" * 100_000,
-        b'{"layers": [[1, 2], [2]], "n": 1' + b"0" * 5_000 + b"}",
-    ],
-    ids=["not-utf8", "nested-100000-deep", "integer-of-5000-digits"],
+    UNREADABLE + [b'{"paths": [[' + content + b"]]}" for content in UNREADABLE],
+    ids=["not-utf8", "nested-100000-deep", "integer-of-5000-digits"]
+    + ["paths-not-utf8", "paths-nested-100000-deep", "paths-integer-of-5000-digits"],
 )
 def test_unreadable_json_exits_2(tmp_path, two_layer_files, capsys, content):
-    # as a game file and as a state file
+    # as a game file and as a state file; the paths- cases have the state
+    # writer's frame, so the reader's per-row parse meets them first
     g, s = two_layer_files
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -153,6 +154,89 @@ def test_state_from_dict_shares_rows_only_in_a_file_of_plain_ints():
     assert [type(p.edge_indices[0]) for p in mixed.paths] == [int, bool, int, float]
 
 
+def _sharing(state: State) -> list[int]:
+    """For each player, the first player holding the same PathChoice object."""
+    first: dict[int, int] = {}
+    return [first.setdefault(id(p), i) for i, p in enumerate(state.paths)]
+
+
+def _read_both_ways(path) -> tuple:
+    """load_state_file and state_from_dict(json.loads(...)) of one file, each
+    as (repr, sharing), "invalid JSON" or the ModelError message."""
+    results = []
+    for read in (load_state_file, lambda p: state_from_dict(json.loads(open(p, encoding="utf-8").read()))):
+        try:
+            state = read(str(path))
+        except ValueError:
+            results.append("invalid JSON")
+        except ModelError as err:
+            results.append("invalid JSON" if "invalid JSON" in str(err) else str(err))
+        else:
+            results.append((repr(state), _sharing(state)))
+    return tuple(results)
+
+
+ROWS = [[1, 2], [2, 1], [1, 2], [1, 2]]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        json.dumps({"paths": ROWS}) + "\n",
+        json.dumps({"paths": ROWS}, separators=(",", ":")),
+        json.dumps({"paths": ROWS}, indent=2),
+        json.dumps({"paths": ROWS}).replace("], [", "],\r\n [") + "  \r\n",
+        json.dumps({"paths": ROWS}) + " \t \r\n  ",
+        json.dumps({"paths": ROWS}) + "\x0c",
+        " " + json.dumps({"paths": ROWS}),
+        json.dumps({"paths": ROWS})[:-1],
+        '{"paths": [[1, 2], [ 1, 2 ], [1,2], [2, 1]]}',
+        '{"paths": [[1], [2],[3], [4]]}',
+        '{"paths": [[1, [2]], [1, 2]]}',
+        '{"paths": [[1, 2]], "x": [[1]]}',
+        '{"x": 1, "paths": [[1, 2], [1, 2]]}',
+        '{"paths": [[9, 9]], "paths": [[1, 2], [2, 1], [1, 2]]}',
+        '{"paths": [[1]], "paths": [2, [3]]}',
+        '{"paths": [[1, 2], [true, 2], [1, 2], [1.0, 2], [1, 2]]}',
+        '{"paths": [[-1, 2], [3, 1], [-1, 2], [1, 2]]}',
+        '{"paths": [[12345678901234567890, 1], [12345678901234567890, 1]]}',
+        '{"paths": []}',
+        '{"paths": [[]]}',
+        '{"paths": [[], [1, 2], []]}',
+    ],
+    ids=[
+        "writer", "compact", "indent-2", "crlf-between-rows", "trailing-whitespace",
+        "trailing-form-feed", "leading-space", "unclosed", "spaced-rows",
+        "bracket-in-a-row", "nested-entry", "extra-key-after", "extra-key-before", "duplicate-key",
+        "duplicate-key-not-rows", "true-and-float", "negative-and-out-of-range", "long-int",
+        "no-paths", "one-empty-path", "empty-paths",
+    ],
+)
+def test_load_state_file_reads_like_state_from_dict(tmp_path, text):
+    # the writer's form takes its own path; every text must still read as
+    # state_from_dict reads the JSON, down to types and shared PathChoices
+    path = tmp_path / "state.json"
+    path.write_bytes(text.encode())
+    fast, reference = _read_both_ways(path)
+    assert fast == reference
+
+
+def test_load_state_file_shares_equal_rows_and_keeps_per_player_messages(tmp_path):
+    game = Game(LinearMultigraph.from_transits([[1, 2], [1, 2]]), 5)
+    path = tmp_path / "state.json"
+    path.write_text('{"paths": [[1, 2], [ 1, 2 ], [1,2], [2, 1], [1, 2]]}')
+    state = load_state_file(str(path))
+    assert _sharing(state) == [0, 0, 0, 3, 0]
+    path.write_text('{"paths": [[-1, 2], [3, 1], [-1, 2], [true, 2], [1.0, 2]]}')
+    assert validate_state(game, load_state_file(str(path))) == [
+        "player 1: layer 1 has no edge -1",
+        "player 2: layer 1 has no edge 3",
+        "player 3: layer 1 has no edge -1",
+        "player 4: layer 1 has no edge True",
+        "player 5: layer 1 has no edge 1.0",
+    ]
+
+
 def test_path_length_sums_transits():
     g = LinearMultigraph.from_transits([[1, 4], [2]])
     assert path_length(g, PathChoice((2, 1))) == 6
@@ -233,10 +317,32 @@ def test_file_writers_write_dumps_of_the_dict_form(tmp_path):
     save_game_file(game, str(path))
     assert path.read_bytes() == (json.dumps(game_to_dict(game)) + "\n").encode()
     a, b = PathChoice((1, 2)), PathChoice((2, 1))
-    for st in (optimal_state(gen_lower_bound_game(2)).state, State((a, b, a, a, b))):
+    states = (
+        optimal_state(gen_lower_bound_game(2)).state,
+        State((a, b, a, a, b)),
+        State(tuple(PathChoice((1, 2)) for _ in range(3)) + (b, PathChoice(()))),  # equal, unshared
+        sequential_equilibrium(gen_lower_bound_game(2), GREEDY_QUEUE),
+        State(()),
+        State((a, PathChoice((True, 2)), PathChoice((1.0, 2)), a, PathChoice(((1,), (2,))))),
+    )
+    for st in states:
         path = tmp_path / "state.json"
         save_state_file(st, str(path))
         assert path.read_bytes() == (json.dumps(state_to_dict(st)) + "\n").encode()
+
+
+def test_unit_capacity_is_a_field_computed_when_the_graph_is_built():
+    unit = LinearMultigraph.from_transits([[1, 2], [3]])
+    wide = LinearMultigraph.from_transits([[1, 2], [3]], [[1, 2], [1]])
+    assert unit.all_unit_capacity() is unit.unit_capacity is True
+    assert wide.all_unit_capacity() is wide.unit_capacity is False
+    # not compared, hashed or shown, and in the pickle whether or not it was read
+    again = LinearMultigraph(unit.layers)
+    assert again == unit and hash(again) == hash(unit) and repr(again) == repr(unit)
+    assert "unit_capacity" not in repr(wide)
+    fresh = pickle.dumps(LinearMultigraph(wide.layers, wide.input_order))
+    assert pickle.dumps(wide) == fresh
+    assert pickle.loads(fresh).unit_capacity is False
 
 
 def test_load_game_file_rejects_bad_json(tmp_path):
