@@ -383,9 +383,7 @@ def _state_from_writer_text(text: str) -> State | None:
     # file is the JSON {"paths": [...]} of these rows
     if len(rows) != len(texts) or not _plain_int_rows(rows, list):
         return None
-    keys = list(map(tuple, rows))
-    shared = {key: PathChoice(key) for key in dict.fromkeys(keys)}  # one per distinct path
-    by_text = dict(zip(texts, map(shared.__getitem__, keys)))
+    by_text = dict(zip(texts, state_from_dict({"paths": rows}).paths))
     return State(tuple(map(by_text.__getitem__, pieces)))
 
 
