@@ -367,14 +367,17 @@ def _parse_json(text: str, path: str):
 def _state_from_writer_text(text: str) -> State | None:
     """The state in a text of the writer's form, each distinct row parsed once.
 
-    None for any other text, and for rows that do not parse or are not flat
-    lists of plain ints, so that such files meet state_from_dict's rules.
+    None for any other text, for a text with more than half of its rows
+    distinct, and for rows that do not parse or are not flat lists of plain
+    ints, so that such files meet state_from_dict's rules.
     """
     body = text.rstrip(" \t\n\r")  # JSON whitespace
     if not (body.startswith(_PATHS_HEAD) and body.endswith(_PATHS_TAIL)):
         return None
     pieces = body[len(_PATHS_HEAD) : -len(_PATHS_TAIL)].split(_ROW_SEP)
     texts = list(dict.fromkeys(pieces))
+    if 2 * len(texts) > len(pieces):  # few repeats: parsing the whole text is faster
+        return None
     try:
         rows = json.loads("[[" + _ROW_SEP.join(texts) + "]]")
     except (ValueError, RecursionError):
@@ -414,13 +417,15 @@ def save_game_file(game: Game, path: str) -> None:
 
 def save_state_file(state: State, path: str) -> None:
     """Write json.dumps(state_to_dict(state)) and a newline, encoding each
-    distinct PathChoice object once."""
+    distinct PathChoice object once when at most half the players hold
+    distinct objects."""
     paths = state.paths
     distinct = dict(zip(map(id, paths), paths))
     rows = [p.edge_indices for p in distinct.values()]
     with open(path, "w", encoding="utf-8") as fh:
-        if not rows or not _plain_int_rows(rows, tuple):
-            write_json(state_to_dict(state), fh)
+        if not rows or 2 * len(rows) > len(paths) or not _plain_int_rows(rows, tuple):
+            # the tuples themselves: JSON writes a tuple as a list
+            write_json({"paths": [p.edge_indices for p in paths]}, fh)
             return
         # rows of plain ints encode as "[[" + _ROW_SEP.join(row texts) + "]]"
         texts = dict(zip(distinct, json.dumps(rows)[2:-2].split(_ROW_SEP)))

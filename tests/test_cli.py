@@ -105,13 +105,14 @@ UNREADABLE = [
 
 @pytest.mark.parametrize(
     "content",
-    UNREADABLE + [b'{"paths": [[' + content + b"]]}" for content in UNREADABLE],
+    UNREADABLE + [b'{"paths": [[1], [1], [1], [' + content + b"]]}" for content in UNREADABLE],
     ids=["not-utf8", "nested-100000-deep", "integer-of-5000-digits"]
     + ["paths-not-utf8", "paths-nested-100000-deep", "paths-integer-of-5000-digits"],
 )
 def test_unreadable_json_exits_2(tmp_path, two_layer_files, capsys, content):
     # as a game file and as a state file; the paths- cases have the state
-    # writer's frame, so the reader's per-row parse meets them first
+    # writer's frame and a repeated row, so the reader's per-row parse meets
+    # them first
     g, s = two_layer_files
     bad = tmp_path / "bad.json"
     bad.write_bytes(content)
