@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import sys
 from fractions import Fraction
 
@@ -22,11 +23,12 @@ from .equilibria import (
 )
 from .flows import check_flow_feasible, flow_to_dict, state_to_flow
 from .instances import SIMULATION_CAP, lower_bound_row
-from .loading import load, trace_rows
+from .loading import LoadingResult, arrival_sweep, load, trace_rows
 from .model import (
     FifoRouteError,
     Game,
     game_to_dict,
+    json_int_rows,
     load_game_file,
     load_state_file,
     state_to_dict,
@@ -80,15 +82,24 @@ def cmd_load(args: argparse.Namespace) -> int:
             raise FifoRouteError("csv output for load requires --trace")
         _trace_csv(result)
         return EXIT_OK
-    report = {
-        "arrivals": result.arrivals,
-        "completions": result.completions,
-        "makespan": result.makespan,
-    }
-    if args.trace:
-        report["trace"] = list(trace_rows(result))
-    _emit(report)
+    sys.stdout.write(_load_report(result, args.trace))
     return EXIT_OK
+
+
+def _load_report(result: LoadingResult, trace: bool) -> str:
+    """json.dumps of {"arrivals", "completions", "makespan"[, "trace"]} and a newline.
+
+    Every arrival lies in 0..makespan, since arrivals never fall along a
+    path, so json_int_rows encodes the rows. The completions are the last
+    row, and its text serves for both keys.
+    """
+    rows = json_int_rows(result.arrivals, result.makespan)
+    parts = ['{"arrivals": [', ", ".join(rows), '], "completions": ', rows[-1]]
+    parts += [', "makespan": ', str(result.makespan)]
+    if trace:
+        parts += [', "trace": ', json.dumps(list(trace_rows(result)))]
+    parts.append("}\n")
+    return "".join(parts)
 
 
 def cmd_eq(args: argparse.Namespace) -> int:
@@ -160,7 +171,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
             "equilibria": [
                 {
                     "paths": [p.edge_indices for p in st.paths],
-                    "makespan": load(game, st).makespan,
+                    "makespan": max(arrival_sweep(game, st.paths)[-1]),
                 }
                 for st in states
             ],

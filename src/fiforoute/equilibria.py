@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import groupby, repeat
 from typing import Union
 
-from .loading import arrival_sweep, check_times_fit_int64, load
+from .loading import arrival_sweep, check_times_fit_int64, load, non_decreasing
 # validate_game is unused here; perfbench's span self-test reads equilibria.validate_game
 from .model import FifoRouteError, Game, PathChoice, State, all_paths, validate_game
 
@@ -508,8 +508,7 @@ def is_ufr_equilibrium(
             f"instance too large for exact check: over the path budget of {path_budget} paths per player"
         )
     base = load(game, state).arrivals
-    ordered = all(a <= b for row in base for a, b in zip(row, row[1:]))
-    first = _walk(game, state, []) if ordered else 0
+    first = _walk(game, state, []) if all(map(non_decreasing, base)) else 0
     if first == game.n:
         return True
     alternatives = all_paths(game.graph)

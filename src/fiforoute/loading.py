@@ -6,8 +6,8 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import accumulate
-from operator import itemgetter, sub
+from itertools import accumulate, islice
+from operator import itemgetter, le, sub
 from typing import Iterator, Sequence
 
 # validate_game is unused here; perfbench's span self-test reads loading.validate_game
@@ -176,6 +176,12 @@ def check_times_fit_int64(game: Game) -> None:
         raise LoadingError(f"times may reach {bound}, beyond the 2**62 limit of int64 time tables")
 
 
+def non_decreasing(values: Sequence[int]) -> bool:
+    """Whether values never fall from one index to the next. For the arrivals
+    at a node this means the FIFO order (arrival, player index) is index order."""
+    return all(map(le, values, islice(values, 1, None)))
+
+
 def arrival_sweep(game: Game, paths: Sequence[PathChoice]) -> tuple[tuple[int, ...], ...]:
     """Arrival times of a valid profile, one network layer at a time.
 
@@ -188,33 +194,33 @@ def arrival_sweep(game: Game, paths: Sequence[PathChoice]) -> tuple[tuple[int, .
     arrives at a_q, departs at d_q = max(a_q, d_{q-c} + 1), or at a_q when
     fewer than c players entered before it (Lindley's recursion, with the
     c servers of a wide edge taken by FIFO rank mod c). On a layer of unit
-    edges that is one ready time per edge, the earliest departure open to
-    the next entrant: out = max(a_q, ready_e), then ready_e = out + 1.
+    edges that is one ready time per edge, kept in head-time terms: the
+    entrant reaches the head at h = max(a_q + transit_e, ready_e), and then
+    ready_e = h + 1. When the arrivals at a layer's tail are non-decreasing
+    in player index, as on every layer of a sequentially built equilibrium
+    and on layer 1 of every profile with equal starts, the FIFO order is
+    index order, and a layer of unit edges is swept without sorting.
 
     Returns arrivals[j][i], the time player i reaches node v_j. Nothing is
     validated: callers pass a valid game and one valid path per player.
     """
     n = game.n
-    arr = tuple(game.start_times())
+    arr = game.start_times()
     arrivals = [arr]
+    rows = [p.edge_indices for p in paths]
+    unit = game.graph.unit_capacity
     for j, layer in enumerate(game.graph.layers):
-        col = [p.edge_indices[j] - 1 for p in paths]
-        taus = [e.transit for e in layer]
-        caps = [e.capacity for e in layer]
-        nxt = [0] * n
-        order = sorted(range(n), key=arr.__getitem__)  # stable: ties by index
-        if max(caps) == 1:
-            ready = [0] * len(layer)
-            for i in order:
-                e = col[i]
-                out = arr[i]
-                if ready[e] > out:
-                    out = ready[e]
-                ready[e] = out + 1
-                nxt[i] = out + taus[e]
-        else:
-            departs: list[list[int]] = [[] for _ in layer]
-            for i in order:
+        # per-edge lists are indexed by the 1-based edge indices; slot 0 is unused
+        tau = [0]
+        tau += [e.transit for e in layer]
+        col = map(itemgetter(j), rows)
+        if not unit and any(e.capacity > 1 for e in layer):
+            caps = [0]
+            caps += [e.capacity for e in layer]
+            col = list(col)
+            departs: list[list[int]] = [[] for _ in tau]
+            nxt = [0] * n
+            for i in sorted(range(n), key=arr.__getitem__):  # stable: ties by index
                 e = col[i]
                 d = departs[e]
                 c = caps[e]
@@ -222,7 +228,28 @@ def arrival_sweep(game: Game, paths: Sequence[PathChoice]) -> tuple[tuple[int, .
                 if len(d) >= c and d[-c] >= out:
                     out = d[-c] + 1
                 d.append(out)
-                nxt[i] = out + taus[e]
+                nxt[i] = out + tau[e]
+        elif non_decreasing(arr):
+            ready = [0] * len(tau)
+            nxt = []
+            append = nxt.append
+            for a, e in zip(arr, col):
+                h = a + tau[e]
+                if ready[e] > h:
+                    h = ready[e]
+                ready[e] = h + 1
+                append(h)
+        else:
+            ready = [0] * len(tau)
+            col = list(col)
+            nxt = [0] * n
+            for i in sorted(range(n), key=arr.__getitem__):
+                e = col[i]
+                h = arr[i] + tau[e]
+                if ready[e] > h:
+                    h = ready[e]
+                ready[e] = h + 1
+                nxt[i] = h
         arr = tuple(nxt)
         arrivals.append(arr)
     return tuple(arrivals)

@@ -410,6 +410,18 @@ def write_json(data: dict | list, fh: TextIO) -> None:
     fh.write("\n")
 
 
+def json_int_rows(rows: Sequence[Sequence[int]], top: int) -> list[str]:
+    """json.dumps of each row, for rows of plain ints in 0..top.
+
+    When the rows hold more values than there are ints in 0..top, each int is
+    turned into text once and every row joins the texts of its values.
+    """
+    if top + 1 > sum(map(len, rows)):
+        return list(map(json.dumps, rows))
+    text = list(map(str, range(top + 1)))
+    return ["[" + ", ".join(map(text.__getitem__, row)) + "]" for row in rows]
+
+
 def save_game_file(game: Game, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         write_json(game_to_dict(game), fh)

@@ -1,5 +1,6 @@
 """Command-line interface: output shapes, exit codes, argument validation."""
 import json
+import time
 
 import pytest
 
@@ -18,7 +19,7 @@ from fiforoute import (
     sequential_equilibrium,
     trace_rows,
 )
-from fiforoute.cli import LOWERBOUND_COLUMNS, main
+from fiforoute.cli import LOWERBOUND_COLUMNS, _load_report, main
 
 
 @pytest.fixture
@@ -318,6 +319,48 @@ def test_reports_are_dumps_of_the_library_results(nine_player_game, nine_player_
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv
         assert out == json.dumps(report) + "\n", argv
+
+
+def _load_stdout_is_dumps(capsys, tmp_path, game, state, *flags):
+    # stdout of load is json.dumps of the report built from the library with lists, and a newline
+    g, s = str(tmp_path / "game.json"), str(tmp_path / "state.json")
+    save_game_file(game, g)
+    save_state_file(state, s)
+    result = load(game, state)
+    report = {
+        "arrivals": [list(row) for row in result.arrivals],
+        "completions": list(result.completions),
+        "makespan": result.makespan,
+    }
+    if "--trace" in flags:
+        report["trace"] = [list(row) for row in trace_rows(result)]
+    code, out, _ = run(capsys, "load", g, s, *flags)
+    assert code == 0
+    assert out == json.dumps(report) + "\n"
+    return result
+
+
+def test_load_report_bytes_on_small_games(two_layer_game, two_layer_state, nine_player_game, nine_player_state,
+                                          tmp_path, capsys):
+    _load_stdout_is_dumps(capsys, tmp_path, two_layer_game, two_layer_state, "--trace")
+    _load_stdout_is_dumps(capsys, tmp_path, nine_player_game, nine_player_state)
+    # the makespan of 10**6 + 5 tops the 9 arrival values: each row goes through json.dumps
+    late = Game(LinearMultigraph.from_transits([[1, 2], [3]]), 3, (0, 0, 10**6))
+    result = _load_stdout_is_dumps(capsys, tmp_path, late, State((PathChoice((1, 1)),) * 3))
+    assert result.makespan + 1 > sum(map(len, result.arrivals))
+
+
+def test_load_report_bytes_and_time_at_i3(tmp_path, capsys):
+    # the optimal profile of game i = 3: 7 rows of 362 880 arrivals in 0..60663;
+    # json.dumps of the report took 0.25-0.38 s on 2 cores
+    game = gen_lower_bound_game(3)
+    result = _load_stdout_is_dumps(capsys, tmp_path, game, optimal_state(game).state)
+    seconds = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        _load_report(result, False)
+        seconds.append(time.perf_counter() - t0)
+    assert min(seconds) < 0.25, f"encoding the report took {min(seconds):.2f}s"
 
 
 def test_check_ufr_verdicts(two_layer_files, nine_player_game, nine_player_state, tmp_path, capsys):

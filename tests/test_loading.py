@@ -1,6 +1,7 @@
 """Loading semantics against worked values and the reference loaders."""
 from __future__ import annotations
 
+import hashlib
 import pickle
 import random
 from dataclasses import fields
@@ -8,16 +9,21 @@ from dataclasses import fields
 import pytest
 
 from fiforoute import (
+    Game,
     LoadingError,
     PathChoice,
     State,
+    gen_lower_bound_game,
     load,
+    optimal_state,
     queue_length,
     queue_sum,
+    sequential_equilibrium,
     trace_rows,
     workload,
 )
-from conftest import random_capacitated_game, random_deep_game, random_game, random_state
+from fiforoute.loading import arrival_sweep, non_decreasing
+from conftest import random_capacitated_game, random_deep_game, random_game, random_pattern, random_state
 from reference import HeapLoading, heap_load, naive_load
 
 LOADING_FIELDS = [f.name for f in fields(HeapLoading)]
@@ -173,6 +179,61 @@ def test_load_matches_naive_reference_at_deep_queues():
         assert (res.arrivals, res.completions, res.makespan) == (arr, completions, makespan), (game, state)
         for t, expected in ref_sums.items():
             assert queue_sum(res, t) == expected, (game, state, t)
+
+
+def test_sweep_matches_naive_load_on_ordered_layers(fuzz_corpus):
+    # sequential equilibria are ordered at every node, so every layer of
+    # these unit games takes the sweep's branch without a sort: every fourth
+    # corpus game with zero starts, with random starts (ties among them)
+    # and with one start shared by all players
+    rng = random.Random(13)
+    for game in fuzz_corpus[::4]:
+        graph, n = game.graph, game.n
+        for pattern in (None, random_pattern(rng, n), (3,) * n):
+            g = Game(graph, n, pattern)
+            state = sequential_equilibrium(g)
+            arrivals = arrival_sweep(g, state.paths)
+            assert all(map(non_decreasing, arrivals)), (g, state)
+            assert arrivals == naive_load(g, state)[0], (g, state)
+
+
+def test_sweep_matches_naive_load_when_order_breaks_after_layer_1(fuzz_corpus):
+    # random profiles on zero-start corpus games of two or three layers:
+    # layer 1 is swept in index order, the later layers of many are not
+    rng = random.Random(14)
+    broken = 0
+    for game in fuzz_corpus[3400::3]:
+        state = random_state(rng, game)
+        arrivals = arrival_sweep(game, state.paths)
+        assert arrivals == naive_load(game, state)[0], (game, state)
+        broken += not all(map(non_decreasing, arrivals[1:-1]))
+    assert broken > 100
+
+
+@pytest.mark.parametrize("capacitated", [False, True], ids=["unit", "capacitated"])
+def test_sweep_matches_naive_load_at_200_players(capacitated):
+    # random and sequentially built profiles, so unit games meet both the
+    # ordered and the sorted branch at deep queues
+    rng = random.Random(15)
+    for k in range(60):
+        game = random_deep_game(rng, 200, capacitated=capacitated, with_pattern=k % 2 == 1)
+        for state in (random_state(rng, game), sequential_equilibrium(game)):
+            assert arrival_sweep(game, state.paths) == naive_load(game, state)[0], (game, state)
+
+
+def test_lower_bound_arrivals_at_i3_are_pinned():
+    # sha256 of repr(arrivals) of the greedy equilibrium (ordered on every
+    # layer) and of the optimal profile (ordered on layers 1 and 2 only) of
+    # game i = 3, as the sweep that sorted every layer computed them
+    game = gen_lower_bound_game(3)
+    digests = {
+        "greedy": "2741588de0a34fa1df87f3215ef89e62fb2ec2a32ac047bf20ed0449d06f4909",
+        "optimal": "0f12abae1858ef112a67c7bf494fd10e4ca5e3382464c20632e25951d40c46b8",
+    }
+    states = {"greedy": sequential_equilibrium(game), "optimal": optimal_state(game).state}
+    for name, state in states.items():
+        arrivals = arrival_sweep(game, state.paths)
+        assert hashlib.sha256(repr(arrivals).encode()).hexdigest() == digests[name], name
 
 
 def test_load_is_deterministic():
