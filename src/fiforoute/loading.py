@@ -210,17 +210,36 @@ def arrival_sweep(game: Game, paths: Sequence[PathChoice]) -> tuple[tuple[int, .
     rows = [p.edge_indices for p in paths]
     unit = game.graph.unit_capacity
     for j, layer in enumerate(game.graph.layers):
-        # per-edge lists are indexed by the 1-based edge indices; slot 0 is unused
-        tau = [0]
-        tau += [e.transit for e in layer]
-        col = map(itemgetter(j), rows)
-        if not unit and any(e.capacity > 1 for e in layer):
-            caps = [0]
-            caps += [e.capacity for e in layer]
-            col = list(col)
-            departs: list[list[int]] = [[] for _ in tau]
+        caps = () if unit else [e.capacity for e in layer]
+        if unit or max(caps) == 1:
+            tau = [0]  # indexed by the 1-based edge indices
+            tau += [e.transit for e in layer]
+            ready = [0] * len(tau)
+            if non_decreasing(arr):
+                nxt = []
+                append = nxt.append
+                for a, e in zip(arr, map(itemgetter(j), rows)):
+                    h = a + tau[e]
+                    if ready[e] > h:
+                        h = ready[e]
+                    ready[e] = h + 1
+                    append(h)
+            else:
+                col = list(map(itemgetter(j), rows))
+                nxt = [0] * n
+                for i in sorted(range(n), key=arr.__getitem__):  # stable: ties by index
+                    e = col[i]
+                    h = arr[i] + tau[e]
+                    if ready[e] > h:
+                        h = ready[e]
+                    ready[e] = h + 1
+                    nxt[i] = h
+        else:
+            col = [r[j] - 1 for r in rows]
+            taus = [e.transit for e in layer]
+            departs: list[list[int]] = [[] for _ in layer]
             nxt = [0] * n
-            for i in sorted(range(n), key=arr.__getitem__):  # stable: ties by index
+            for i in sorted(range(n), key=arr.__getitem__):
                 e = col[i]
                 d = departs[e]
                 c = caps[e]
@@ -228,28 +247,7 @@ def arrival_sweep(game: Game, paths: Sequence[PathChoice]) -> tuple[tuple[int, .
                 if len(d) >= c and d[-c] >= out:
                     out = d[-c] + 1
                 d.append(out)
-                nxt[i] = out + tau[e]
-        elif non_decreasing(arr):
-            ready = [0] * len(tau)
-            nxt = []
-            append = nxt.append
-            for a, e in zip(arr, col):
-                h = a + tau[e]
-                if ready[e] > h:
-                    h = ready[e]
-                ready[e] = h + 1
-                append(h)
-        else:
-            ready = [0] * len(tau)
-            col = list(col)
-            nxt = [0] * n
-            for i in sorted(range(n), key=arr.__getitem__):
-                e = col[i]
-                h = arr[i] + tau[e]
-                if ready[e] > h:
-                    h = ready[e]
-                ready[e] = h + 1
-                nxt[i] = h
+                nxt[i] = out + taus[e]
         arr = tuple(nxt)
         arrivals.append(arr)
     return tuple(arrivals)
