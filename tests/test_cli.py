@@ -344,7 +344,7 @@ def test_load_report_bytes_on_small_games(two_layer_game, two_layer_state, nine_
                                           tmp_path, capsys):
     _load_stdout_is_dumps(capsys, tmp_path, two_layer_game, two_layer_state, "--trace")
     _load_stdout_is_dumps(capsys, tmp_path, nine_player_game, nine_player_state)
-    # the makespan of 10**6 + 5 tops the 9 arrival values: each row goes through json.dumps
+    # a makespan of 10**6 + 4 against 9 arrival values: each row goes through json.dumps
     late = Game(LinearMultigraph.from_transits([[1, 2], [3]]), 3, (0, 0, 10**6))
     result = _load_stdout_is_dumps(capsys, tmp_path, late, State((PathChoice((1, 1)),) * 3))
     assert result.makespan + 1 > sum(map(len, result.arrivals))
@@ -352,7 +352,7 @@ def test_load_report_bytes_on_small_games(two_layer_game, two_layer_state, nine_
 
 def test_load_report_bytes_and_time_at_i3(tmp_path, capsys):
     # the optimal profile of game i = 3: 7 rows of 362 880 arrivals in 0..60663;
-    # json.dumps of the report took 0.25-0.38 s on 2 cores
+    # json.dumps of the report took 0.25-0.40 s on 2 cores
     game = gen_lower_bound_game(3)
     result = _load_stdout_is_dumps(capsys, tmp_path, game, optimal_state(game).state)
     seconds = []
