@@ -196,10 +196,18 @@ def arrival_sweep(game: Game, paths: Sequence[PathChoice]) -> tuple[tuple[int, .
     c servers of a wide edge taken by FIFO rank mod c). On a layer of unit
     edges that is one ready time per edge, kept in head-time terms: the
     entrant reaches the head at h = max(a_q + transit_e, ready_e), and then
-    ready_e = h + 1. When the arrivals at a layer's tail are non-decreasing
-    in player index, as on every layer of a sequentially built equilibrium
-    and on layer 1 of every profile with equal starts, the FIFO order is
-    index order, and a layer of unit edges is swept without sorting.
+    ready_e = h + 1. Each edge serves its own entrants only, so a layer of
+    unit edges is swept in player index order whenever every edge's tail
+    arrivals never fall with the player index: restricted to that edge,
+    index order is then the FIFO order. When the arrivals at the whole tail
+    node are non-decreasing, as on every layer of a sequentially built
+    equilibrium and on layer 1 of every profile with equal starts, this
+    holds without a check. Otherwise the sweep keeps each edge's last tail
+    arrival and checks each entrant against it; one that arrived earlier
+    would find the edge still busy, so only a queued entrant is checked.
+    The optimal profiles of optimal_state pass the check on every layer. On
+    the first entrant that fails it, the layer is swept again from the start
+    in (arrival, index) order.
 
     Returns arrivals[j][i], the time player i reaches node v_j. Nothing is
     validated: callers pass a valid game and one valid path per player.
@@ -225,6 +233,20 @@ def arrival_sweep(game: Game, paths: Sequence[PathChoice]) -> tuple[tuple[int, .
                     ready[e] = h + 1
                     append(h)
             else:
+                last = [0] * len(tau)  # each edge's latest tail arrival; starts are >= 0
+                nxt = []
+                append = nxt.append
+                for a, e in zip(arr, map(itemgetter(j), rows)):
+                    h = a + tau[e]
+                    if ready[e] > h:
+                        if a < last[e]:  # only a queued entrant can come before the last one
+                            break
+                        h = ready[e]
+                    last[e] = a
+                    ready[e] = h + 1
+                    append(h)
+            if len(nxt) < n:  # some edge's entrants fell out of index order: sort the layer
+                ready = [0] * len(tau)
                 col = list(map(itemgetter(j), rows))
                 nxt = [0] * n
                 for i in sorted(range(n), key=arr.__getitem__):  # stable: ties by index

@@ -37,6 +37,34 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_same_text(got: str, expected: str, what) -> None:
+    """Require got == expected. On a mismatch fail at once with the first
+    differing offset and a short window around it, rather than leave a
+    report of megabytes to the assertion rewriter's diff."""
+    if got == expected:
+        return
+    lo, hi = 0, min(len(got), len(expected))  # the common prefix is lo..hi long
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if got[:mid] == expected[:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    window = slice(max(lo - 40, 0), lo + 40)
+    pytest.fail(
+        f"{what}: first difference at offset {lo} (lengths {len(got)} and {len(expected)}):\n"
+        f"  got      {got[window]!r}\n  expected {expected[window]!r}",
+        pytrace=False,
+    )
+
+
+def test_assert_same_text_points_at_the_first_difference():
+    assert_same_text("[1, 2]", "[1, 2]", "equal")
+    for got, expected, offset in (("[1, 2, 3]", "[1, 5, 3]", 4), ("[1, 2]", "[1, 2]\n", 6), ("x", "", 0)):
+        with pytest.raises(pytest.fail.Exception, match=f"first difference at offset {offset} "):
+            assert_same_text(got, expected, "case")
+
+
 TWO_LAYER = {"layers": [[1, 2], [2]], "n": 3}
 TWO_LAYER_PATHS = {"paths": [[1, 1], [2, 1], [1, 1]]}
 HUGE_START = {"layers": [[1]], "n": 2, "starting_pattern": [2**63 - 1, 2**63 - 1]}
@@ -318,7 +346,7 @@ def test_reports_are_dumps_of_the_library_results(nine_player_game, nine_player_
     for argv, report in reports:
         code, out, _ = run(capsys, *argv)
         assert code == 0, argv
-        assert out == json.dumps(report) + "\n", argv
+        assert_same_text(out, json.dumps(report) + "\n", argv)
 
 
 def _load_stdout_is_dumps(capsys, tmp_path, game, state, *flags):
@@ -336,7 +364,7 @@ def _load_stdout_is_dumps(capsys, tmp_path, game, state, *flags):
         report["trace"] = [list(row) for row in trace_rows(result)]
     code, out, _ = run(capsys, "load", g, s, *flags)
     assert code == 0
-    assert out == json.dumps(report) + "\n"
+    assert_same_text(out, json.dumps(report) + "\n", ("load", *flags))
     return result
 
 

@@ -9,19 +9,26 @@ from dataclasses import fields
 import pytest
 
 from fiforoute import (
+    GREEDY_QUEUE,
+    LOWEST_INDEX,
+    SHORTEST_QUEUE,
     Game,
+    LinearMultigraph,
     LoadingError,
     PathChoice,
     State,
+    all_paths,
     gen_lower_bound_game,
     load,
     optimal_state,
     queue_length,
     queue_sum,
+    seeded,
     sequential_equilibrium,
     trace_rows,
     workload,
 )
+from fiforoute import loading
 from fiforoute.loading import arrival_sweep, non_decreasing
 from conftest import random_capacitated_game, random_deep_game, random_game, random_pattern, random_state
 from reference import HeapLoading, heap_load, naive_load
@@ -234,6 +241,101 @@ def test_lower_bound_arrivals_at_i3_are_pinned():
     for name, state in states.items():
         arrivals = arrival_sweep(game, state.paths)
         assert hashlib.sha256(repr(arrivals).encode()).hexdigest() == digests[name], name
+
+
+def _no_sort(*args, **kwargs):
+    raise AssertionError("arrival_sweep sorted a layer")
+
+
+def test_sweep_skips_the_sort_when_each_edge_sees_its_entrants_in_order(monkeypatch, fuzz_corpus):
+    # a module-level sorted shadows the builtin inside loading and raises:
+    # on these profiles every edge's entrants reach its tail in index order,
+    # though for some profiles a node as a whole does not
+    monkeypatch.setattr(loading, "sorted", _no_sort, raising=False)
+    for i in (1, 2):
+        game = gen_lower_bound_game(i)
+        state = optimal_state(game).state
+        assert arrival_sweep(game, state.paths) == naive_load(game, state)[0], i
+    test_lower_bound_arrivals_at_i3_are_pinned()  # i = 3 against the digests of the sorting sweep
+    # w blocks of k players: player b*k + r takes edge b+1 of layer 1 and
+    # reaches v_1 at r + 1, so v_1 is out of order; on layer 2 it takes edge
+    # r+1, which all w players of rank r reach at once and queue on
+    for w, k in ((2, 2), (3, 4), (5, 40)):
+        game = Game(LinearMultigraph.from_transits([[1] * w, [2] * k, [1] * w]), w * k)
+        state = State(tuple(PathChoice((b + 1, r + 1, b + 1)) for b in range(w) for r in range(k)))
+        arrivals = arrival_sweep(game, state.paths)
+        assert arrivals == naive_load(game, state)[0], (w, k)
+        assert not non_decreasing(arrivals[1]) and max(row[1] for row in load(game, state).waiting) == w - 1
+    unordered = 0
+    for game in fuzz_corpus:  # every game there is a plain zero-start unit game
+        state = optimal_state(game).state
+        arrivals = arrival_sweep(game, state.paths)
+        assert arrivals == naive_load(game, state)[0], (game, state)
+        unordered += not all(map(non_decreasing, arrivals[1:-1]))
+    assert unordered > 50
+    for game in fuzz_corpus[::4]:
+        for policy in (GREEDY_QUEUE, LOWEST_INDEX, SHORTEST_QUEUE, seeded(4)):
+            state = sequential_equilibrium(game, policy)
+            assert arrival_sweep(game, state.paths) == naive_load(game, state)[0], (game, state, policy)
+
+
+def _first_out_of_order(arr, column):
+    """The first player whose tail arrival is below that of the previous
+    entrant of its edge in index order, or None."""
+    last = {}
+    for i, (a, e) in enumerate(zip(arr, column)):
+        if a < last.get(e, a):
+            return i
+        last[e] = a
+    return None
+
+
+def _slot_sorted_state(rng, game):
+    # a few paths with a count each, players handed the release slots in
+    # (release, path) order, as optimal_state hands them out
+    paths = rng.sample(all_paths(game.graph), min(game.num_paths(), rng.randint(1, 4)))
+    cuts = sorted(rng.randint(0, game.n) for _ in range(len(paths) - 1))
+    counts = [b - a for a, b in zip([0, *cuts], [*cuts, game.n])]
+    slots = sorted((release, j) for j, c in enumerate(counts) for release in range(c))
+    return State(tuple(paths[j] for _, j in slots))
+
+
+def test_sweep_falls_back_to_the_sort_when_an_edge_sees_its_entrants_out_of_order(monkeypatch):
+    sorts = []
+
+    def counted_sorted(*args, **kwargs):
+        sorts.append(1)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(loading, "sorted", counted_sorted, raising=False)
+    # player k is the first whose layer-2 edge saw a later tail arrival
+    # before it: players 0..k-1 take the slow edge of layer 1 and edge 1 of
+    # layer 2, player k the fast edge of layer 1 and edge 1 of layer 2, and
+    # the rest random paths; k is the second player, a middle one or the last
+    rng = random.Random(16)
+    for n in (2, 5, 40, 200):
+        game = Game(LinearMultigraph.from_transits([[1, n + 2], [1, 1, 2], [1, 2]]), n)
+        for k in sorted({1, n // 2, n - 1}):
+            rows = [(2, 1, rng.randint(1, 2))] * k + [(1, 1, rng.randint(1, 2))]
+            rows += [tuple(rng.randint(1, s) for s in (2, 3, 2)) for _ in range(n - k - 1)]
+            state = State(tuple(PathChoice(r) for r in rows))
+            before = len(sorts)
+            arrivals = arrival_sweep(game, state.paths)
+            assert arrivals == naive_load(game, state)[0], (n, k, rows)
+            assert _first_out_of_order(arrivals[1], [r[1] for r in rows]) == k
+            assert len(sorts) > before, (n, k)
+    # slot-sorted profiles on random unit games, with zero and random starts
+    sort_free = fallbacks = 0
+    for t in range(600):
+        game = random_deep_game(rng, 60, capacitated=False, with_pattern=t % 2 == 1)
+        state = _slot_sorted_state(rng, game)
+        before = len(sorts)
+        arrivals = arrival_sweep(game, state.paths)
+        assert arrivals == naive_load(game, state)[0], (game, state)
+        unordered = sum(not non_decreasing(a) for a in arrivals[:-1])
+        fallbacks += len(sorts) - before
+        sort_free += unordered - (len(sorts) - before)
+    assert sort_free > 50 and fallbacks > 50, (sort_free, fallbacks)
 
 
 def test_load_is_deterministic():
