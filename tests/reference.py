@@ -10,6 +10,9 @@ reloads. `replay_construct` is the sequential constructor by the workload
 rule, counting every edge's queue afresh from a plain list of departures.
 `table_enumerate` finds every equilibrium from one int64 arrival table over
 all num_paths**n states, without the ordering argument the library uses.
+`naive_check_flow` is the flow feasibility check with the conservation loop
+the library shipped before its sweep: at every critical time it integrates
+each edge's rate from time 0 again.
 """
 from __future__ import annotations
 
@@ -22,7 +25,21 @@ from itertools import product
 
 import numpy as np
 
-from fiforoute import EdgeLog, Game, PathChoice, State, TieBreakPolicy, TraceEvent, UfrWitness, all_paths
+from fiforoute import (
+    EdgeLog,
+    FifoRouteError,
+    FlowOverTime,
+    Game,
+    LinearMultigraph,
+    PathChoice,
+    State,
+    TieBreakPolicy,
+    TraceEvent,
+    UfrWitness,
+    all_paths,
+    cumulative_flow,
+    flow_value,
+)
 
 
 def naive_load(game: Game, state: State):
@@ -388,3 +405,75 @@ def _arrival_tables(game: Game, paths: list[PathChoice]) -> np.ndarray:
         np.put_along_axis(arr, order, depart, axis=1)
         rows[:, :, j] = arr
     return rows
+
+
+def naive_check_flow(
+    graph: LinearMultigraph, flow: FlowOverTime, expected_value: int | None = None
+) -> list[str]:
+    """`check_flow_feasible` with a `cumulative_flow` call per edge at every
+    critical time; the messages and their order are the library's."""
+    violations: list[str] = []
+    T = flow.horizon
+    for key, bps in sorted(flow.rates.items()):
+        layer, index = key
+        name = f"{layer}:{index}"
+        try:
+            edge = graph.edge(layer, index)
+        except FifoRouteError:
+            violations.append(f"edge {name} not in graph")
+            continue
+        times = [t for t, _ in bps]
+        if times != sorted(set(times)):
+            violations.append(f"edge {name} breakpoints not strictly increasing")
+            continue
+        if bps and bps[0][0] < 0:
+            violations.append(f"edge {name} starts at negative time {bps[0][0]}")
+        if bps and bps[-1][1] != 0:
+            violations.append(f"edge {name} does not end at rate 0")
+        cutoff = T - edge.transit
+        for pos, (t, r) in enumerate(bps):
+            if r < 0:
+                violations.append(f"edge {name} negative rate {r} at time {t}")
+            if r > edge.capacity:
+                violations.append(
+                    f"edge {name} rate {r} exceeds capacity {edge.capacity} at time {t}"
+                )
+            if r > 0:
+                end = bps[pos + 1][0] if pos + 1 < len(bps) else T
+                if end > cutoff:
+                    violations.append(
+                        f"edge {name} active on [{t},{end}) past cutoff {cutoff}"
+                    )
+    if violations:
+        return violations
+
+    m = len(graph.layers)
+    for j in range(1, m):
+        into = graph.layers[j - 1]
+        out_of = graph.layers[j]
+        critical = {0, T}
+        for e in into:
+            for t, _ in flow.rates.get((e.layer, e.index_in_layer), ()):
+                critical.add(t + e.transit)
+        for e in out_of:
+            for t, _ in flow.rates.get((e.layer, e.index_in_layer), ()):
+                critical.add(t)
+        for theta in sorted(c for c in critical if 0 <= c <= T):
+            arrived = sum(
+                cumulative_flow(flow, e.layer, e.index_in_layer, theta - e.transit)
+                for e in into
+                if theta >= e.transit
+            )
+            left = sum(
+                cumulative_flow(flow, e.layer, e.index_in_layer, theta) for e in out_of
+            )
+            if left > arrived:
+                violations.append(
+                    f"conservation violated at node v_{j} by time {theta}:"
+                    f" out {left} > in {arrived}"
+                )
+    if expected_value is not None:
+        value = flow_value(graph, flow)
+        if value != expected_value:
+            violations.append(f"flow value {value} != expected {expected_value}")
+    return violations
