@@ -377,9 +377,10 @@ def _walk(game: Game, settle: TieBreakPolicy | State | None, found: list[list[in
     Step s puts player s // m on layer s % m. From tail time t, edge e's
     head arrival is max(t + tau_e, ready_e): by the rule of arrival_sweep a
     newcomer queues behind the lower-index entrants, so ready_e is h[-c] + 1
-    once c of them reached e's head at times h, and 0 before. Layers ascend
-    in transit, so the scan stops at the first edge whose transit alone is
-    too slow. `settle` decides ties:
+    for the list h of their head times at e, which starts with c zeros that
+    never bind, as every head time is at least 1. Layers ascend in transit,
+    so the scan stops at the first edge whose transit alone is too slow.
+    `settle` decides ties:
     - a policy takes one tied edge. On a layer of unit edges a tied edge's
       queue is H - t - tau_e, so greedy-queue keeps the first and
       shortest-queue the one of largest transit; on other layers both
@@ -401,7 +402,7 @@ def _walk(game: Game, settle: TieBreakPolicy | State | None, found: list[list[in
         caps = [e.capacity for e in layer]
         wide = max(caps) > 1
         # head lists serve wide layers (ready times, queue counts) and undoing
-        hits = [[] for _ in layer] if wide or settle is None else None
+        hits = [[0] * c for c in caps] if wide or settle is None else None
         rule = _RULES[kind][wide] if kind else _EVERY
         layers.append(([e.transit for e in layer], caps, [0] * len(layer), hits, rule))
 
@@ -422,7 +423,7 @@ def _walk(game: Game, settle: TieBreakPolicy | State | None, found: list[list[in
                 _, caps, ready, hits, _ = layers[s % m]
                 e = choice[s] - 1
                 hits[e].pop()
-                ready[e] = hits[e][-caps[e]] + 1 if len(hits[e]) >= caps[e] else 0
+                ready[e] = hits[e][-caps[e]] + 1
         j = s % m
         taus, caps, ready, hits, rule = layers[j]
         if ties and ties[-1][0] == s:  # back at an open tie: its next edge
@@ -469,8 +470,7 @@ def _walk(game: Game, settle: TieBreakPolicy | State | None, found: list[list[in
             ready[best] = best_h + 1
         else:
             hits[best].append(best_h)
-            if len(hits[best]) >= caps[best]:
-                ready[best] = hits[best][-caps[best]] + 1
+            ready[best] = hits[best][-caps[best]] + 1
         if best_h < heads[s - m]:
             raise ConstructionError(
                 f"player {s // m + 1} reaches node {j + 1} at {best_h}, "

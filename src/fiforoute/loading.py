@@ -97,11 +97,14 @@ class LoadingResult:
     @cached_property
     def waiting(self) -> tuple[tuple[int, ...], ...]:
         """Time each player spends queued on each layer."""
-        taus = [[e.transit for e in layer] for layer in self.game.graph.layers]
-        return tuple(
-            tuple(lat - taus[j][idx - 1] for j, (lat, idx) in enumerate(zip(row, path.edge_indices)))
-            for row, path in zip(self.latency, self.state.paths)
-        )
+        arr = self.arrivals
+        rows = [p.edge_indices for p in self.state.paths]
+        columns = []
+        for j, layer in enumerate(self.game.graph.layers):
+            tau = (0, *(e.transit for e in layer))  # indexed by the 1-based edge indices
+            own = map(tau.__getitem__, map(itemgetter(j), rows))
+            columns.append(map(sub, map(sub, arr[j + 1], arr[j]), own))
+        return tuple(zip(*columns))
 
     @cached_property
     def trace(self) -> tuple[TraceEvent, ...]:
@@ -191,23 +194,23 @@ def arrival_sweep(game: Game, paths: Sequence[PathChoice]) -> tuple[tuple[int, .
     transit later. On a chain, arrivals at v_j depend only on arrivals at
     v_{j-1} and the choices on layer j, so each layer is one sweep over its
     players in that FIFO order: the q-th entrant of a capacity-c edge, who
-    arrives at a_q, departs at d_q = max(a_q, d_{q-c} + 1), or at a_q when
-    fewer than c players entered before it (Lindley's recursion, with the
-    c servers of a wide edge taken by FIFO rank mod c). On a layer of unit
-    edges that is one ready time per edge, kept in head-time terms: the
-    entrant reaches the head at h = max(a_q + transit_e, ready_e), and then
-    ready_e = h + 1. Each edge serves its own entrants only, so a layer of
-    unit edges is swept in player index order whenever every edge's tail
-    arrivals never fall with the player index: restricted to that edge,
-    index order is then the FIFO order. When the arrivals at the whole tail
-    node are non-decreasing, as on every layer of a sequentially built
-    equilibrium and on layer 1 of every profile with equal starts, this
-    holds without a check. Otherwise the sweep keeps each edge's last tail
+    arrives at a_q, departs at d_q = max(a_q, d_{q-c} + 1) (Lindley's
+    recursion, with the c servers of a wide edge taken by FIFO rank mod c).
+    In head-time terms the entrant reaches the head at h = a_q + transit_e,
+    or at h_{q-c} + 1 if that is later.
+
+    Each edge serves its own entrants only, so a layer of unit edges is first
+    swept in player index order, with one ready time h + 1 per edge: restricted
+    to one edge, index order is the FIFO order while that edge's tail arrivals
+    never fall with the player index. The sweep keeps each edge's last tail
     arrival and checks each entrant against it; one that arrived earlier
-    would find the edge still busy, so only a queued entrant is checked.
-    The optimal profiles of optimal_state pass the check on every layer. On
-    the first entrant that fails it, the layer is swept again from the start
-    in (arrival, index) order.
+    would find the edge still busy, so only a queued entrant is checked. The
+    equilibria of sequential_equilibrium and the optimal profiles of
+    optimal_state pass the check on every layer. A layer with a wider edge,
+    or a unit layer with an entrant that fails the check, is swept in
+    (arrival, index) order instead. There each edge keeps its head times in
+    a list that starts with `capacity` zeros, so h_{q-c} is always the c-th
+    last entry; the zeros never bind, as every head time is at least 1.
 
     Returns arrivals[j][i], the time player i reaches node v_j. Nothing is
     validated: callers pass a valid game and one valid path per player.
@@ -218,58 +221,37 @@ def arrival_sweep(game: Game, paths: Sequence[PathChoice]) -> tuple[tuple[int, .
     rows = [p.edge_indices for p in paths]
     unit = game.graph.unit_capacity
     for j, layer in enumerate(game.graph.layers):
-        caps = () if unit else [e.capacity for e in layer]
-        if unit or max(caps) == 1:
-            tau = [0]  # indexed by the 1-based edge indices
-            tau += [e.transit for e in layer]
+        tau = [0]  # indexed by the 1-based edge indices
+        tau += [e.transit for e in layer]
+        nxt = []
+        if unit or all(e.capacity == 1 for e in layer):
             ready = [0] * len(tau)
-            if non_decreasing(arr):
-                nxt = []
-                append = nxt.append
-                for a, e in zip(arr, map(itemgetter(j), rows)):
-                    h = a + tau[e]
-                    if ready[e] > h:
-                        h = ready[e]
-                    ready[e] = h + 1
-                    append(h)
-            else:
-                last = [0] * len(tau)  # each edge's latest tail arrival; starts are >= 0
-                nxt = []
-                append = nxt.append
-                for a, e in zip(arr, map(itemgetter(j), rows)):
-                    h = a + tau[e]
-                    if ready[e] > h:
-                        if a < last[e]:  # only a queued entrant can come before the last one
-                            break
-                        h = ready[e]
-                    last[e] = a
-                    ready[e] = h + 1
-                    append(h)
-            if len(nxt) < n:  # some edge's entrants fell out of index order: sort the layer
-                ready = [0] * len(tau)
-                col = list(map(itemgetter(j), rows))
-                nxt = [0] * n
-                for i in sorted(range(n), key=arr.__getitem__):  # stable: ties by index
-                    e = col[i]
-                    h = arr[i] + tau[e]
-                    if ready[e] > h:
-                        h = ready[e]
-                    ready[e] = h + 1
-                    nxt[i] = h
-        else:
-            col = [r[j] - 1 for r in rows]
-            taus = [e.transit for e in layer]
-            departs: list[list[int]] = [[] for _ in layer]
+            last = [0] * len(tau)  # each edge's latest tail arrival; starts are >= 0
+            append = nxt.append
+            for a, e in zip(arr, map(itemgetter(j), rows)):
+                h = a + tau[e]
+                if ready[e] > h:
+                    if a < last[e]:  # only a queued entrant can come before the last one
+                        break
+                    h = ready[e]
+                last[e] = a
+                ready[e] = h + 1
+                append(h)
+        if len(nxt) < n:
+            back = [-1]  # minus each capacity: hs[back[e]] is the head time c entrants back
+            back += [-e.capacity for e in layer]
+            heads = [[0] * -k for k in back]
+            col = list(map(itemgetter(j), rows))
             nxt = [0] * n
-            for i in sorted(range(n), key=arr.__getitem__):
+            for i in sorted(range(n), key=arr.__getitem__):  # stable: ties by index
                 e = col[i]
-                d = departs[e]
-                c = caps[e]
-                out = arr[i]
-                if len(d) >= c and d[-c] >= out:
-                    out = d[-c] + 1
-                d.append(out)
-                nxt[i] = out + taus[e]
+                hs = heads[e]
+                h = arr[i] + tau[e]
+                x = hs[back[e]]
+                if x >= h:
+                    h = x + 1
+                hs.append(h)
+                nxt[i] = h
         arr = tuple(nxt)
         arrivals.append(arr)
     return tuple(arrivals)

@@ -186,7 +186,9 @@ def validate_game(game: Game) -> list[str]:
         transits = [e.transit for e in layer]
         if any(a > b for a, b in zip(transits, transits[1:])):
             problems.append(f"layer {j} not sorted")
-    if game.n < 1:
+    if not _is_int(game.n):
+        problems.append("player count must be an integer")
+    elif game.n < 1:
         problems.append("player count must be >= 1")
     pattern = game.starting_pattern
     if pattern is not None:

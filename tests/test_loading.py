@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import pickle
 import random
 from dataclasses import fields
@@ -18,7 +19,9 @@ from fiforoute import (
     PathChoice,
     State,
     all_paths,
+    enumerate_equilibria,
     gen_lower_bound_game,
+    is_ufr_equilibrium,
     load,
     optimal_state,
     queue_length,
@@ -31,7 +34,7 @@ from fiforoute import (
 from fiforoute import loading
 from fiforoute.loading import arrival_sweep, non_decreasing
 from conftest import random_capacitated_game, random_deep_game, random_game, random_pattern, random_state
-from reference import HeapLoading, heap_load, naive_load
+from reference import HeapLoading, heap_load, naive_load, reload_check, replay_construct, table_enumerate
 
 LOADING_FIELDS = [f.name for f in fields(HeapLoading)]
 
@@ -176,7 +179,7 @@ def test_load_matches_reference_loaders_on_corpus(corpus, request):
 
 
 def test_load_matches_naive_reference_at_deep_queues():
-    # up to 200 players on few edges: long unit-edge ready chains and wide-edge departure lists
+    # up to 200 players on few edges: long unit-edge ready chains and wide-edge head lists
     rng = random.Random(200)
     for k in range(200):
         game = random_deep_game(rng, 200, capacitated=k % 2 == 1, with_pattern=k % 4 >= 2)
@@ -301,13 +304,7 @@ def _slot_sorted_state(rng, game):
 
 
 def test_sweep_falls_back_to_the_sort_when_an_edge_sees_its_entrants_out_of_order(monkeypatch):
-    sorts = []
-
-    def counted_sorted(*args, **kwargs):
-        sorts.append(1)
-        return sorted(*args, **kwargs)
-
-    monkeypatch.setattr(loading, "sorted", counted_sorted, raising=False)
+    sorts = _counting_sorted(monkeypatch)
     # player k is the first whose layer-2 edge saw a later tail arrival
     # before it: players 0..k-1 take the slow edge of layer 1 and edge 1 of
     # layer 2, player k the fast edge of layer 1 and edge 1 of layer 2, and
@@ -336,6 +333,68 @@ def test_sweep_falls_back_to_the_sort_when_an_edge_sees_its_entrants_out_of_orde
         fallbacks += len(sorts) - before
         sort_free += unordered - (len(sorts) - before)
     assert sort_free > 50 and fallbacks > 50, (sort_free, fallbacks)
+
+
+def _counting_sorted(monkeypatch):
+    sorts = []
+
+    def counted_sorted(*args, **kwargs):
+        sorts.append(1)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(loading, "sorted", counted_sorted, raising=False)
+    return sorts
+
+
+@pytest.mark.parametrize("with_pattern", [False, True], ids=["zero-start", "pattern"])
+def test_sweep_sorts_wide_layers_and_unit_layers_seen_out_of_order(monkeypatch, with_pattern):
+    # on capacitated games the sweep sorts each layer with a wider edge, and
+    # a unit layer exactly when some edge sees its entrants out of index order
+    sorts = _counting_sorted(monkeypatch)
+    rng = random.Random(17 + with_pattern)
+    wide = unit_sorted = unit_free = 0
+    for _ in range(600):
+        game = random_deep_game(rng, 60, capacitated=True, with_pattern=with_pattern)
+        for state in (random_state(rng, game), _slot_sorted_state(rng, game), sequential_equilibrium(game)):
+            before = len(sorts)
+            arrivals = arrival_sweep(game, state.paths)
+            assert arrivals == naive_load(game, state)[0], (game, state)
+            expected = 0
+            for j, layer in enumerate(game.graph.layers):
+                if max(e.capacity for e in layer) > 1:
+                    wide += 1
+                elif _first_out_of_order(arrivals[j], [p.edge_indices[j] for p in state.paths]) is not None:
+                    unit_sorted += 1
+                else:
+                    unit_free += 1
+                    continue
+                expected += 1
+            assert len(sorts) - before == expected, (game, state)
+    assert wide > 2000 and unit_sorted > 40 and unit_free > 200, (wide, unit_sorted, unit_free)
+
+
+def test_head_lists_padded_with_capacity_zeros_never_bind(monkeypatch):
+    # layer 1 has a transit-1 edge of capacity 3, so a player entering it at
+    # time 0 reaches its head at 1, one above the padding; the fourth such
+    # player is the first whose c-th last head binds. Layer 2 is a unit layer
+    # that takes the sorted loop whenever its edge 1 sees a later tail
+    # arrival (from layer-1 edge 2, transit 2) before an earlier one
+    sorts = _counting_sorted(monkeypatch)
+    graph = LinearMultigraph.from_transits([[1, 2], [1, 1]], [[3, 1], [1, 1]])
+    fallbacks = 0
+    for n in (2, 3, 4):
+        game = Game(graph, n)
+        paths = all_paths(graph)
+        for rows in itertools.product(paths, repeat=n):
+            state = State(rows)
+            before = len(sorts)
+            assert arrival_sweep(game, state.paths) == naive_load(game, state)[0], state
+            fallbacks += len(sorts) - before - 1  # layer 1 is always sorted
+            assert is_ufr_equilibrium(game, state) == reload_check(game, state), state
+        assert enumerate_equilibria(game) == table_enumerate(game), n
+        for policy in (GREEDY_QUEUE, LOWEST_INDEX, SHORTEST_QUEUE, seeded(5)):
+            assert sequential_equilibrium(game, policy) == replay_construct(game, policy), (n, policy)
+    assert fallbacks > 0
 
 
 def test_load_is_deterministic():

@@ -83,6 +83,9 @@ def test_validate_game_checks_sizes():
         Game(LinearMultigraph.from_transits([[1]]), 2, (0,))
     with pytest.raises(ModelError, match="invalid game: player count must be >= 1"):
         Game(LinearMultigraph.from_transits([[1]]), 0)
+    for n in (2.5, 2.0, True, "3"):
+        with pytest.raises(ModelError, match="invalid game: player count must be an integer$"):
+            Game(LinearMultigraph.from_transits([[1, 2]]), n)
 
 
 def test_game_stores_a_list_pattern_as_a_tuple():
