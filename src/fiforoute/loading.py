@@ -237,7 +237,7 @@ def arrival_sweep(game: Game, paths: Sequence[PathChoice]) -> tuple[tuple[int, .
                 last[e] = a
                 ready[e] = h + 1
                 append(h)
-        if len(nxt) < n:
+        if len(nxt) < n:  # a wider edge, or an edge that saw its entrants out of order
             back = [-1]  # minus each capacity: hs[back[e]] is the head time c entrants back
             back += [-e.capacity for e in layer]
             heads = [[0] * -k for k in back]

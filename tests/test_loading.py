@@ -303,6 +303,17 @@ def _slot_sorted_state(rng, game):
     return State(tuple(paths[j] for _, j in slots))
 
 
+def _counting_sorted(monkeypatch):
+    sorts = []
+
+    def counted_sorted(*args, **kwargs):
+        sorts.append(1)
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(loading, "sorted", counted_sorted, raising=False)
+    return sorts
+
+
 def test_sweep_falls_back_to_the_sort_when_an_edge_sees_its_entrants_out_of_order(monkeypatch):
     sorts = _counting_sorted(monkeypatch)
     # player k is the first whose layer-2 edge saw a later tail arrival
@@ -333,17 +344,6 @@ def test_sweep_falls_back_to_the_sort_when_an_edge_sees_its_entrants_out_of_orde
         fallbacks += len(sorts) - before
         sort_free += unordered - (len(sorts) - before)
     assert sort_free > 50 and fallbacks > 50, (sort_free, fallbacks)
-
-
-def _counting_sorted(monkeypatch):
-    sorts = []
-
-    def counted_sorted(*args, **kwargs):
-        sorts.append(1)
-        return sorted(*args, **kwargs)
-
-    monkeypatch.setattr(loading, "sorted", counted_sorted, raising=False)
-    return sorts
 
 
 @pytest.mark.parametrize("with_pattern", [False, True], ids=["zero-start", "pattern"])
