@@ -41,7 +41,7 @@ def map_state_to_split(game: Game, state: State, loading: LoadingResult) -> Stat
     if loading.game is not game or loading.state is not state:
         if loading.game != game or loading.state != state:
             raise FifoRouteError("loading result does not belong to this game/state")
-    offsets = [list(accumulate((e.capacity for e in layer), initial=0)) for layer in game.graph.layers]
+    offsets = [list(accumulate(caps, initial=0)) for caps in game.graph.capacities]
     ranks: dict[tuple[int, int], dict[int, int]] = {  # 0-based FIFO ranks
         key: {player: pos for pos, player in enumerate(log.players)}
         for key, log in loading.edge_logs.items()

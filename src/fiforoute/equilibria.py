@@ -159,9 +159,8 @@ def _fill_columns(game: Game) -> list[list[int]]:
         for t, group in groupby(game.starting_pattern):
             _merge_run(blocks, t, sum(1 for _ in group), 1)
     columns = []
-    last = len(game.graph.layers)
-    for j, layer in enumerate(game.graph.layers, 1):
-        taus = [e.transit for e in layer]
+    last = game.graph.num_layers
+    for j, taus in enumerate(game.graph.transits, 1):
         # head arrivals as runs (t, c, length) in order, a step's first run
         # possibly at the previous run's last time; none on the last layer
         runs: list[tuple[int, int, int]] | None = [] if j < last else None
@@ -192,7 +191,7 @@ def _fill_columns(game: Game) -> list[list[int]]:
 
 
 def _fill_block(
-    t: int, c: int, end: int, taus: list[int], ready: list[int], column: list[int], runs: list | None
+    t: int, c: int, end: int, taus: tuple[int, ...], ready: list[int], column: list[int], runs: list | None
 ) -> None:
     """Water-fill c players at each tail time from t to end - 1, jumping
     whole periods once the shape of the edges recurs.
@@ -300,7 +299,7 @@ def _repeat_runs(runs: list[tuple[int, int, int]], start: int, step: int, m: int
 
 
 def _water_fill(
-    t: int, c: int, taus: list[int], ready: list[int], column: list[int], runs: list | None
+    t: int, c: int, taus: tuple[int, ...], ready: list[int], column: list[int], runs: list | None
 ) -> int:
     """Give c players at the tail at t the c least head slots in (time, edge)
     order; returns the time of the last slot taken."""
@@ -398,13 +397,12 @@ def _walk(game: Game, settle: TieBreakPolicy | State | None, found: list[list[in
     rng = random.Random(settle.seed) if kind == "seeded" else None
     own = [e - 1 for path in settle.paths for e in path.edge_indices] if isinstance(settle, State) else None
     layers = []
-    for layer in game.graph.layers:
-        caps = [e.capacity for e in layer]
+    for taus, caps in zip(game.graph.transits, game.graph.capacities):
         wide = max(caps) > 1
         # head lists serve wide layers (ready times, queue counts) and undoing
         hits = [[0] * c for c in caps] if wide or settle is None else None
         rule = _RULES[kind][wide] if kind else _EVERY
-        layers.append(([e.transit for e in layer], caps, [0] * len(layer), hits, rule))
+        layers.append((taus, caps, [0] * len(taus), hits, rule))
 
     starts = game.start_times()
     heads = [0] * (steps + m)  # head arrival per step; heads[s - m] is 0 for s < m

@@ -76,16 +76,16 @@ class LoadingResult:
         """Per used edge, its FIFO log: players in (tail arrival, index) order,
         entering at the tail arrival, departing a transit before the head arrival."""
         logs = {}
-        for j, layer in enumerate(self.game.graph.layers):
+        for j, transits in enumerate(self.game.graph.transits):
             a, b = self.arrivals[j], self.arrivals[j + 1]
-            players = [array("q") for _ in layer]
+            players = [array("q") for _ in transits]
             for i in sorted(range(self.game.n), key=a.__getitem__):  # stable: ties by index
                 players[self.state.paths[i].edge_indices[j] - 1].append(i)
-            for edge, on in zip(layer, players):
+            for idx, (tau, on) in enumerate(zip(transits, players), start=1):
                 if on:
                     entries = array("q", [a[i] for i in on])
-                    departs = array("q", [b[i] - edge.transit for i in on])
-                    logs[(edge.layer, edge.index_in_layer)] = EdgeLog(entries, departs, on)
+                    departs = array("q", [b[i] - tau for i in on])
+                    logs[(j + 1, idx)] = EdgeLog(entries, departs, on)
         return logs
 
     @cached_property
@@ -97,24 +97,26 @@ class LoadingResult:
     @cached_property
     def waiting(self) -> tuple[tuple[int, ...], ...]:
         """Time each player spends queued on each layer."""
+        return tuple(zip(*self.wait_columns()))
+
+    def wait_columns(self) -> Iterator[Iterator[int]]:
+        """Per layer, the time each player spends queued on it, in player order."""
         arr = self.arrivals
         rows = [p.edge_indices for p in self.state.paths]
-        columns = []
-        for j, layer in enumerate(self.game.graph.layers):
-            tau = (0, *(e.transit for e in layer))  # indexed by the 1-based edge indices
+        for j, transits in enumerate(self.game.graph.transits):
+            tau = (0, *transits)  # indexed by the 1-based edge indices
             own = map(tau.__getitem__, map(itemgetter(j), rows))
-            columns.append(map(sub, map(sub, arr[j + 1], arr[j]), own))
-        return tuple(zip(*columns))
+            yield map(sub, map(sub, arr[j + 1], arr[j]), own)
 
     @cached_property
     def trace(self) -> tuple[TraceEvent, ...]:
         """The event trace in time order. Within one time come first the
         arrivals at edge heads (by departure time, edge, FIFO rank), then the
         enqueues (by edge, player), then the departures (by edge, FIFO rank)."""
-        graph = self.game.graph
+        transits = self.game.graph.transits
         rows = []
         for (layer, idx), log in self.edge_logs.items():
-            tau = graph.edge(layer, idx).transit
+            tau = transits[layer - 1][idx - 1]
             for rank, (a, d, i) in enumerate(zip(log.entries, log.departs, log.players)):
                 p = i + 1
                 rows.append(((d + tau, 0, d, layer, idx, rank), TraceEvent(d + tau, layer, idx, "arrive", p)))
@@ -172,9 +174,8 @@ def check_times_fit_int64(game: Game) -> None:
     plus, per layer, the largest transit and n. That bound must stay below
     2**62, half the int64 range, which also covers intermediate sums.
     """
-    bound = game.start_time(game.n - 1) + sum(
-        max(e.transit for e in layer) + game.n for layer in game.graph.layers
-    )
+    graph = game.graph
+    bound = game.start_time(game.n - 1) + sum(map(max, graph.transits)) + game.n * graph.num_layers
     if bound >= 2**62:
         raise LoadingError(f"times may reach {bound}, beyond the 2**62 limit of int64 time tables")
 
@@ -220,11 +221,10 @@ def arrival_sweep(game: Game, paths: Sequence[PathChoice]) -> tuple[tuple[int, .
     arrivals = [arr]
     rows = [p.edge_indices for p in paths]
     unit = game.graph.unit_capacity
-    for j, layer in enumerate(game.graph.layers):
-        tau = [0]  # indexed by the 1-based edge indices
-        tau += [e.transit for e in layer]
+    for j, (transits, caps) in enumerate(zip(game.graph.transits, game.graph.capacities)):
+        tau = (0, *transits)  # indexed by the 1-based edge indices
         nxt = []
-        if unit or all(e.capacity == 1 for e in layer):
+        if unit or max(caps) == 1:
             ready = [0] * len(tau)
             last = [0] * len(tau)  # each edge's latest tail arrival; starts are >= 0
             append = nxt.append
@@ -239,7 +239,7 @@ def arrival_sweep(game: Game, paths: Sequence[PathChoice]) -> tuple[tuple[int, .
                 append(h)
         if len(nxt) < n:  # a wider edge, or an edge that saw its entrants out of order
             back = [-1]  # minus each capacity: hs[back[e]] is the head time c entrants back
-            back += [-e.capacity for e in layer]
+            back += [-c for c in caps]
             heads = [[0] * -k for k in back]
             col = list(map(itemgetter(j), rows))
             nxt = [0] * n

@@ -2,11 +2,12 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from itertools import chain
 from math import prod
 from operator import countOf
-from typing import Iterable, Sequence, TextIO
+from typing import TextIO
 
 
 class FifoRouteError(Exception):
@@ -40,20 +41,28 @@ class LinearMultigraph:
     edge of layer j goes from v_{j-1} to v_j. Within a layer, edges are kept
     sorted by non-decreasing transit time; `input_order[j-1][i-1]` remembers
     which 1-based position of the constructor input became sorted index i, so
-    reports can refer back to the caller's ordering. `unit_capacity` is
-    computed when the graph is built, so every pickle of it holds the field.
+    reports can refer back to the caller's ordering. The kernels read the
+    layers as tables: `transits[j-1][i-1]` and `capacities[j-1][i-1]` are the
+    transit and capacity of edge i of layer j, one tuple per layer in sorted
+    order, and `unit_capacity` says whether every capacity is 1. All three
+    are computed when the graph is built, so every pickle of it holds them.
     """
 
     layers: tuple[tuple[Edge, ...], ...]
     input_order: tuple[tuple[int, ...], ...] = field(default=())
     unit_capacity: bool = field(init=False, repr=False, compare=False)
+    transits: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    capacities: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.input_order:
             ident = tuple(tuple(range(1, len(layer) + 1)) for layer in self.layers)
             object.__setattr__(self, "input_order", ident)
-        caps = {e.capacity for layer in self.layers for e in layer}
-        object.__setattr__(self, "unit_capacity", caps <= {1})
+        capacities = tuple([tuple([e.capacity for e in layer]) for layer in self.layers])
+        object.__setattr__(self, "transits", tuple([tuple([e.transit for e in layer]) for layer in self.layers]))
+        object.__setattr__(self, "capacities", capacities)
+        # count compares with ==, which no capacity makes raise; a set cannot hold a list
+        object.__setattr__(self, "unit_capacity", all(row.count(1) == len(row) for row in capacities))
 
     @classmethod
     def from_transits(
@@ -140,7 +149,7 @@ class Game:
     starting_pattern: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
-        if self.starting_pattern is not None:  # a list could change after the check
+        if isinstance(self.starting_pattern, Sequence):  # a list could change after the check
             object.__setattr__(self, "starting_pattern", tuple(self.starting_pattern))
         problems = validate_game(self)
         if problems:
@@ -172,7 +181,8 @@ def validate_game(game: Game) -> list[str]:
     graph = game.graph
     if graph.num_layers == 0:
         problems.append("graph has no layers")
-    for j, layer in enumerate(graph.layers, start=1):
+    # each order test runs only on values that passed their type test
+    for j, (layer, transits) in enumerate(zip(graph.layers, graph.transits), start=1):
         if len(layer) == 0:
             problems.append(f"layer {j} is empty")
             continue
@@ -183,20 +193,21 @@ def validate_game(game: Game) -> list[str]:
                 problems.append(f"layer {j} edge {i}: transit must be an integer >= 1")
             if not isinstance(e.capacity, int) or isinstance(e.capacity, bool) or e.capacity < 1:
                 problems.append(f"layer {j} edge {i}: capacity must be an integer >= 1")
-        transits = [e.transit for e in layer]
-        if any(a > b for a, b in zip(transits, transits[1:])):
+        if all(map(_is_int, transits)) and any(a > b for a, b in zip(transits, transits[1:])):
             problems.append(f"layer {j} not sorted")
     if not _is_int(game.n):
         problems.append("player count must be an integer")
     elif game.n < 1:
         problems.append("player count must be >= 1")
     pattern = game.starting_pattern
-    if pattern is not None:
+    if pattern is not None and not isinstance(pattern, tuple):  # Game stores a sequence as a tuple
+        problems.append("starting pattern must be a sequence of integers")
+    elif pattern is not None:
         if len(pattern) != game.n:
             problems.append(f"starting pattern has length {len(pattern)}, expected {game.n}")
         if any(not isinstance(t, int) or isinstance(t, bool) or t < 0 for t in pattern):
             problems.append("starting pattern entries must be integers >= 0")
-        if any(a > b for a, b in zip(pattern, pattern[1:])):
+        if all(map(_is_int, pattern)) and any(a > b for a, b in zip(pattern, pattern[1:])):
             problems.append("starting pattern not non-decreasing")
     return problems
 
@@ -268,19 +279,11 @@ def kth_cheapest_path(graph: LinearMultigraph, j: int) -> PathChoice:
 def game_to_dict(game: Game) -> dict:
     """Serialize a game; layer lists come out in the constructor's input order."""
     graph = game.graph
-    transits: list[list[int]] = []
-    caps: list[list[int]] = []
-    for layer, order in zip(graph.layers, graph.input_order):
-        row_t = [0] * len(layer)
-        row_c = [0] * len(layer)
-        for sorted_pos, input_pos in enumerate(order):
-            row_t[input_pos - 1] = layer[sorted_pos].transit
-            row_c[input_pos - 1] = layer[sorted_pos].capacity
-        transits.append(row_t)
-        caps.append(row_c)
-    out: dict = {"layers": transits, "n": game.n}
-    if any(c != 1 for row in caps for c in row):
-        out["capacities"] = caps
+    # per layer, the sorted position of each input position
+    at = [sorted(range(len(order)), key=order.__getitem__) for order in graph.input_order]
+    out: dict = {"layers": [[row[p] for p in ps] for row, ps in zip(graph.transits, at)], "n": game.n}
+    if not graph.unit_capacity:
+        out["capacities"] = [[row[p] for p in ps] for row, ps in zip(graph.capacities, at)]
     if game.starting_pattern is not None and any(t != 0 for t in game.starting_pattern):
         out["starting_pattern"] = list(game.starting_pattern)
     return out

@@ -2,16 +2,17 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .loading import load
 from .model import (
     FifoRouteError,
     Game,
     LinearMultigraph,
+    ModelError,
     PathChoice,
     State,
     kth_cheapest_path,
-    path_length,
 )
 
 
@@ -38,14 +39,12 @@ class OptimalPlan:
     certificate: tuple[int, int]
 
 
-def _usable_path_count(graph: LinearMultigraph) -> int:
-    return min(graph.layer_sizes)
-
-
 def _path_lengths(graph: LinearMultigraph) -> list[int]:
-    """Lengths of the 1st..kth cheapest pairwise edge-disjoint paths (non-decreasing)."""
-    k = _usable_path_count(graph)
-    return [path_length(graph, kth_cheapest_path(graph, j)) for j in range(1, k + 1)]
+    """Lengths of the 1st..kth cheapest pairwise edge-disjoint paths (non-decreasing):
+    the j-th takes edge j of every layer, so k is the narrowest layer's size."""
+    if not graph.unit_capacity:
+        raise ModelError("graph has capacities > 1; split capacities first")
+    return list(map(sum, zip(*graph.transits)))
 
 
 def max_packets(graph: LinearMultigraph, horizon: int) -> int:
@@ -154,8 +153,8 @@ def optimality_certificate(plan: OptimalPlan, game: Game) -> list[str]:
     result = load(game, plan.state)
     if result.makespan != plan.horizon:
         problems.append(f"loading the plan gives makespan {result.makespan}, not {plan.horizon}")
-    for i, row in enumerate(result.waiting):
-        for j, w in enumerate(row[1:], start=2):
-            if w > 0:
-                problems.append(f"player {i + 1} waits {w} steps on layer {j}")
+    columns = enumerate(result.wait_columns(), start=1)
+    next(columns)  # waiting on layer 1 is part of the plan; no wait is negative
+    waits = sorted((i, j, w) for j, column in columns for i, w in filter(itemgetter(1), enumerate(column)))
+    problems.extend(f"player {i + 1} waits {w} steps on layer {j}" for i, j, w in waits)
     return problems

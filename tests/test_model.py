@@ -88,6 +88,22 @@ def test_validate_game_checks_sizes():
             Game(LinearMultigraph.from_transits([[1, 2]]), n)
 
 
+def test_game_reports_values_of_the_wrong_type():
+    # every value of the wrong type gets a ModelError naming it; no order
+    # test compares it and no table hashes it
+    for transit in ("x", None):
+        with pytest.raises(ModelError, match=r"invalid game: layer 1 edge 1: transit must be an integer >= 1$"):
+            Game(LinearMultigraph(((Edge(1, 1, transit), Edge(1, 2, 1)),)), 1)
+    g = LinearMultigraph.from_transits([[1, 2]])
+    for pattern in ([0, None], (0, "a")):
+        with pytest.raises(ModelError, match=r"invalid game: starting pattern entries must be integers >= 0$"):
+            Game(g, 2, pattern)
+    with pytest.raises(ModelError, match=r"invalid game: starting pattern must be a sequence of integers$"):
+        Game(g, 2, 5)
+    with pytest.raises(ModelError, match=r"invalid game: layer 1 edge 1: capacity must be an integer >= 1$"):
+        Game(LinearMultigraph(((Edge(1, 1, 1, [2]),),)), 1)
+
+
 def test_game_stores_a_list_pattern_as_a_tuple():
     pattern = [0, 0, 1]
     g = Game(LinearMultigraph.from_transits([[1]]), 3, pattern)
@@ -354,6 +370,31 @@ def test_unit_capacity_is_a_field_computed_when_the_graph_is_built():
     fresh = pickle.dumps(LinearMultigraph(wide.layers, wide.input_order))
     assert pickle.dumps(wide) == fresh
     assert pickle.loads(fresh).unit_capacity is False
+
+
+def test_transit_and_capacity_tables_are_fields_computed_when_the_graph_is_built():
+    unsorted = LinearMultigraph.from_transits([[3, 1, 2], [5]], [[1, 2, 3], [4]])
+    direct = LinearMultigraph(((Edge(1, 1, 1, 2), Edge(1, 2, 2, 3), Edge(1, 3, 3, 1)), (Edge(2, 1, 5, 4),)))
+    for g in (unsorted, direct):
+        assert g.transits == ((1, 2, 3), (5,))
+        assert g.capacities == ((2, 3, 1), (4,))
+        assert g.transits == tuple(tuple(e.transit for e in layer) for layer in g.layers)
+        assert g.capacities == tuple(tuple(e.capacity for e in layer) for layer in g.layers)
+        # tuples all the way down, so no kernel can change them between calls
+        assert all(type(row) is tuple for table in (g.transits, g.capacities) for row in (table, *table))
+    # not in the repr, and no part of == or hash
+    assert "transits" not in repr(direct) and "capacities" not in repr(direct)
+    other = LinearMultigraph(direct.layers)
+    object.__setattr__(other, "transits", ())
+    object.__setattr__(other, "capacities", ())
+    assert other == direct and hash(other) == hash(direct)
+    # in the pickle whether or not they were read, and whole after unpickling
+    untouched = pickle.dumps(LinearMultigraph(unsorted.layers, unsorted.input_order))
+    assert unsorted.transits and unsorted.capacities
+    assert pickle.dumps(unsorted) == untouched
+    back = pickle.loads(untouched)
+    assert (back.transits, back.capacities) == (((1, 2, 3), (5,)), ((2, 3, 1), (4,)))
+    assert back.unit_capacity is False
 
 
 def test_load_game_file_rejects_bad_json(tmp_path):

@@ -2,13 +2,17 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
 from fiforoute import (
     Game,
     LinearMultigraph,
+    ModelError,
+    PathChoice,
     PlanError,
+    State,
     gen_lower_bound_game,
     load,
     max_packets,
@@ -28,6 +32,12 @@ def test_max_packets_counts_slots():
     assert max_packets(g, 3) == 2 + 1
     assert max_packets(g, 6) == 5 + 4 + 1
     assert max_packets(g, -1) == 0
+
+
+def test_max_packets_refuses_a_capacitated_graph():
+    wide = LinearMultigraph.from_transits([[1, 2], [3]], [[1, 2], [1]])
+    with pytest.raises(ModelError, match="graph has capacities > 1; split capacities first"):
+        max_packets(wide, 5)
 
 
 def test_max_packets_monotone():
@@ -67,6 +77,29 @@ def test_optimal_state_counts_and_certificate():
     assert sum(plan.counts) == g1.n
     assert plan.certificate == (4, 7)
     assert optimality_certificate(plan, g1) == []
+
+
+def test_certificate_names_every_tampered_claim():
+    g1 = gen_lower_bound_game(1)
+    plan = optimal_state(g1)
+    assert optimality_certificate(replace(plan, certificate=(4, 8)), g1) == [
+        "stored certificate (4, 8) != recomputed (4, 7)"
+    ]
+    assert optimality_certificate(replace(plan, counts=(3, 3, 1)), g1) == ["counts sum to 7, not n = 6"]
+    assert optimality_certificate(replace(plan, horizon=3), g1) == [
+        "horizon infeasible: max_packets(3) = 4 < n = 6",
+        "stored certificate (4, 7) != recomputed (2, 4)",
+        "loading the plan gives makespan 4, not 3",
+    ]
+    # waits after layer 1, listed by player and then layer: player 2 waits
+    # on layer 3 only, player 3 on layers 2 and 3
+    game = Game(LinearMultigraph.from_transits([[1, 1, 1], [1, 1], [1]]), 3)
+    state = State(tuple(PathChoice(p) for p in [(1, 1, 1), (2, 2, 1), (3, 1, 1)]))
+    assert optimality_certificate(replace(optimal_state(game), state=state), game) == [
+        "player 2 waits 1 steps on layer 3",
+        "player 3 waits 1 steps on layer 2",
+        "player 3 waits 1 steps on layer 3",
+    ]
 
 
 def test_optimal_state_loads_to_horizon_with_no_late_waits():
