@@ -4,7 +4,7 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .loading import LoadingResult
-from .model import FifoRouteError, Game, LinearMultigraph, PathChoice, State
+from .model import Edge, FifoRouteError, Game, LinearMultigraph, PathChoice, State
 
 EdgeMapping = dict[tuple[int, int], tuple[int, ...]]
 
@@ -17,16 +17,14 @@ def split_capacities(game: Game) -> tuple[Game, EdgeMapping]:
     Copies of one edge are adjacent and the layer stays transit-sorted.
     """
     mapping: EdgeMapping = {}
-    transits: list[list[int]] = []
-    for layer_edges in game.graph.layers:
+    layers = []
+    for j, (transits, caps) in enumerate(zip(game.graph.transits, game.graph.capacities), start=1):
         row: list[int] = []
-        for e in layer_edges:
-            first = len(row) + 1
-            row.extend([e.transit] * e.capacity)
-            mapping[(e.layer, e.index_in_layer)] = tuple(range(first, first + e.capacity))
-        transits.append(row)
-    graph = LinearMultigraph.from_transits(transits)
-    return Game(graph, game.n, game.starting_pattern), mapping
+        for i, (tau, c) in enumerate(zip(transits, caps), start=1):
+            mapping[(j, i)] = tuple(range(len(row) + 1, len(row) + c + 1))
+            row.extend([tau] * c)
+        layers.append(tuple(Edge(j, i, tau) for i, tau in enumerate(row, start=1)))
+    return Game(LinearMultigraph(tuple(layers)), game.n, game.starting_pattern), mapping
 
 
 def map_state_to_split(game: Game, state: State, loading: LoadingResult) -> State:
@@ -42,16 +40,11 @@ def map_state_to_split(game: Game, state: State, loading: LoadingResult) -> Stat
         if loading.game != game or loading.state != state:
             raise FifoRouteError("loading result does not belong to this game/state")
     offsets = [list(accumulate(caps, initial=0)) for caps in game.graph.capacities]
-    ranks: dict[tuple[int, int], dict[int, int]] = {  # 0-based FIFO ranks
-        key: {player: pos for pos, player in enumerate(log.players)}
-        for key, log in loading.edge_logs.items()
-    }
-    new_paths: list[PathChoice] = []
-    for i, path in enumerate(state.paths):
-        indices: list[int] = []
-        for layer, idx in enumerate(path.edge_indices, start=1):
-            below = offsets[layer - 1]  # capacity below each edge of the layer
-            rank = ranks[(layer, idx)][i]
-            indices.append(1 + below[idx - 1] + rank % (below[idx] - below[idx - 1]))
-        new_paths.append(PathChoice(tuple(indices)))
-    return State(tuple(new_paths))
+    columns = [[0] * game.n for _ in offsets]  # columns[j-1][i]: player i's copy on layer j
+    for (layer, idx), log in loading.edge_logs.items():  # players in FIFO order
+        below = offsets[layer - 1]  # capacity below each edge of the layer
+        first, c = 1 + below[idx - 1], below[idx] - below[idx - 1]
+        column = columns[layer - 1]
+        for rank, i in enumerate(log.players):
+            column[i] = first + rank % c
+    return State(tuple(map(PathChoice, zip(*columns))))

@@ -5,7 +5,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .loading import LoadingResult
-from .model import Edge, FifoRouteError, Game, LinearMultigraph
+from .model import FifoRouteError, Game, LinearMultigraph
 
 # (time, rate) pairs: rate holds from time until the next breakpoint, the
 # last pair always carries rate 0. Rate is 0 before the first breakpoint.
@@ -71,21 +71,20 @@ def cumulative_flow(flow: FlowOverTime, layer: int, index: int, x: int) -> int:
 
 def flow_value(graph: LinearMultigraph, flow: FlowOverTime) -> int:
     """Total flow reaching the destination: inflow of the last layer, shifted by transit."""
-    m = len(graph.layers)
+    m = graph.num_layers
     return sum(
-        cumulative_flow(flow, m, e.index_in_layer, flow.horizon - e.transit)
-        for e in graph.layers[m - 1]
+        cumulative_flow(flow, m, i, flow.horizon - tau)
+        for i, tau in enumerate(graph.transits[m - 1], start=1)
     )
 
 
-def _rate_changes(flow: FlowOverTime, edges: tuple[Edge, ...], shifted: bool) -> dict[int, int]:
-    """Map each breakpoint time of the edges, plus transit if shifted, to
-    the summed change of rate there; a change of 0 still keeps its time."""
+def _rate_changes(flow: FlowOverTime, layer: int, shifts: tuple[int, ...]) -> dict[int, int]:
+    """Map each breakpoint time of the layer's edges, plus the edge's shift,
+    to the summed change of rate there; a change of 0 still keeps its time."""
     changes: dict[int, int] = {}
-    for e in edges:
-        shift = e.transit if shifted else 0
+    for i, shift in enumerate(shifts, start=1):
         prev = 0
-        for t, r in flow.rates.get((e.layer, e.index_in_layer), ()):
+        for t, r in flow.rates.get((layer, i), ()):
             changes[t + shift] = changes.get(t + shift, 0) + r - prev
             prev = r
     return changes
@@ -145,10 +144,10 @@ def check_flow_feasible(
     if violations:
         return violations
 
-    for j in range(1, len(graph.layers)):
-        inflow = _rate_changes(flow, graph.layers[j - 1], shifted=True)
+    for j in range(1, graph.num_layers):
+        inflow = _rate_changes(flow, j, graph.transits[j - 1])
         inflow.setdefault(T, 0)
-        outflow = _rate_changes(flow, graph.layers[j], shifted=False)
+        outflow = _rate_changes(flow, j + 1, (0,) * len(graph.transits[j]))
         arrived = left = in_rate = out_rate = last = 0
         for theta in sorted(inflow.keys() | outflow.keys()):
             if theta > T:

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
 
-from .equilibria import GREEDY_QUEUE, TieBreakPolicy, sequential_equilibrium
+from .equilibria import sequential_equilibrium
 from .loading import arrival_sweep
 from .model import FifoRouteError, Game, LinearMultigraph
 from .optimum import min_horizon
@@ -142,37 +142,30 @@ def special_edge_indices(params: LowerBoundParams) -> dict[int, range]:
     }
 
 
-def _eq_makespan(
-    params: LowerBoundParams, game: Game, mode: str, policy: TieBreakPolicy, cap: int
-) -> tuple[int, str]:
+def _eq_makespan(params: LowerBoundParams, game: Game, mode: str, cap: int) -> tuple[int, str]:
     """The equilibrium makespan of a lower-bound game, and its source."""
     if mode == "simulate":
         if params.n > cap:
             raise InstanceError(
                 f"n = {params.n} exceeds the simulation cap {cap}; use analytic mode"
             )
-        state = sequential_equilibrium(game, policy)
+        state = sequential_equilibrium(game)
         return max(arrival_sweep(game, state.paths)[-1]), "sim"
     if mode == "analytic":
         return eq_completion_closed_form(params), "formula"
     raise InstanceError(f"unknown mode {mode!r} (expected simulate or analytic)")
 
 
-def pos_ratio(
-    i: int,
-    mode: str = "simulate",
-    policy: TieBreakPolicy = GREEDY_QUEUE,
-    cap: int = SIMULATION_CAP,
-) -> Fraction:
+def pos_ratio(i: int, mode: str = "simulate", cap: int = SIMULATION_CAP) -> Fraction:
     """Equilibrium makespan over optimal makespan for the i-th lower-bound game.
 
-    simulate: build a policy equilibrium and load it (player count capped);
+    simulate: build the greedy-queue equilibrium and load it (player count capped);
     analytic: use the closed form for the equilibrium side. Both divide by
     the exact minimal horizon; the result is an exact rational.
     """
     params = LowerBoundParams.for_index(i)
     game = gen_lower_bound_game(i)
-    eq_makespan, _ = _eq_makespan(params, game, mode, policy, cap)
+    eq_makespan, _ = _eq_makespan(params, game, mode, cap)
     return Fraction(eq_makespan, min_horizon(game))
 
 
@@ -189,7 +182,7 @@ def lower_bound_row(i: int, mode: str = "simulate", cap: int = SIMULATION_CAP) -
     """One table row of the convergence report; exact fields plus decimal echoes."""
     params = LowerBoundParams.for_index(i)
     game = gen_lower_bound_game(i)
-    eq_makespan, source = _eq_makespan(params, game, mode, GREEDY_QUEUE, cap)
+    eq_makespan, source = _eq_makespan(params, game, mode, cap)
     opt = min_horizon(game)
     ratio = Fraction(eq_makespan, opt)
     return {

@@ -224,9 +224,14 @@ def validate_state(game: Game, state: State) -> list[str]:
     sizes = game.graph.layer_sizes
     bad: dict[int, list[str]] = {}  # id of a PathChoice -> its problems
     for key, path in dict(zip(map(id, state.paths), state.paths)).items():
-        indices = path.edge_indices
-        if len(indices) != len(sizes):
-            bad[key] = [f"path has {len(indices)} layers, graph has {len(sizes)}"]
+        try:
+            indices = path.edge_indices
+            count = len(indices)
+        except (AttributeError, TypeError):  # not a PathChoice, or indices without a length
+            bad[key] = [f"{path!r} is not a PathChoice of a sequence of edge indices"]
+            continue
+        if count != len(sizes):
+            bad[key] = [f"path has {count} layers, graph has {len(sizes)}"]
             continue
         for j, idx in enumerate(indices):
             if type(idx) is not int or not 1 <= idx <= sizes[j]:  # plain ints only, no bools

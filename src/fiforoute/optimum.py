@@ -93,9 +93,9 @@ def optimal_state(game: Game) -> OptimalPlan:
 
     Packet counts follow the disjoint-path structure; the leftover packets
     (the 0/1 adjustments) go to usable paths in increasing path order. The
-    realized state assigns players, in index order, to path release slots
-    sorted by (release time, path index); loading it meets the horizon with
-    no queueing anywhere past the first layer.
+    realized state assigns players, in index order, to path release slots in
+    (release time, path index) order, the players of one path sharing its
+    PathChoice; loading it meets the horizon with no queueing past layer 1.
     """
     _require_plain(game, "optimal_state")
     graph = game.graph
@@ -115,10 +115,8 @@ def optimal_state(game: Game) -> OptimalPlan:
     assert sum(counts) == n and all(c >= 0 for c in counts)
 
     paths = tuple(kth_cheapest_path(graph, j + 1) for j in range(k_used))
-    slots = sorted(
-        (release, j) for j, c in enumerate(counts) for release in range(c)
-    )
-    player_paths = tuple(paths[j] for _, j in slots)
+    # release by release, every path with a slot left: the (release, path) order
+    player_paths = tuple(p for release in range(max(counts)) for p, c in zip(paths, counts) if release < c)
     plan = OptimalPlan(
         paths=paths,
         horizon=horizon,

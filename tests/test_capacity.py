@@ -60,6 +60,19 @@ def test_wide_edge_serves_two_players_at_once():
     assert load(split_game, split_state).completions == (1, 1)
 
 
+def test_mapping_ranks_players_by_fifo_order_not_index():
+    # layer-1 arrivals are (3, 1, 2), so the wide edge serves players 2, 3, 1
+    graph = LinearMultigraph(((Edge(1, 1, 1), Edge(1, 2, 3)), (Edge(2, 1, 1, 2),)))
+    game = Game(graph, 3, None)
+    state = State((PathChoice((2, 1)), PathChoice((1, 1)), PathChoice((1, 1))))
+    result = load(game, state)
+    assert result.arrivals[1] == (3, 1, 2)
+    split_game, _ = split_capacities(game)
+    split_state = map_state_to_split(game, state, result)
+    assert split_state.paths == (PathChoice((2, 1)), PathChoice((1, 1)), PathChoice((1, 2)))
+    assert load(split_game, split_state).arrivals == result.arrivals
+
+
 def test_mapping_rejects_foreign_loading():
     graph = LinearMultigraph(((Edge(1, 1, 1, 2),),))
     game = Game(graph, 2, None)

@@ -413,6 +413,22 @@ def test_load_rejects_invalid_state(two_layer_game):
         load(two_layer_game, bad)
 
 
+@pytest.mark.parametrize(
+    "paths, problem",
+    [
+        ((PathChoice(5), PathChoice((1, 1))), "player 1: PathChoice(edge_indices=5) is not"),
+        ((PathChoice((1, 1)), None), "player 2: None is not"),
+    ],
+)
+def test_load_rejects_a_malformed_profile_entry(paths, problem):
+    game = Game(LinearMultigraph.from_transits([[1, 2], [2]]), 2)
+    message = f"state does not fit game: {problem} a PathChoice of a sequence of edge indices"
+    for check in (load, is_ufr_equilibrium):
+        with pytest.raises(LoadingError) as err:
+            check(game, State(paths))
+        assert str(err.value) == message
+
+
 def test_workload_counts_only_present_players():
     # after all players leave an edge, its workload falls back to the transit
     from fiforoute import Game, LinearMultigraph

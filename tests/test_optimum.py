@@ -102,6 +102,18 @@ def test_certificate_names_every_tampered_claim():
     ]
 
 
+def test_optimal_state_orders_players_by_release_then_path(fuzz_corpus):
+    games = [game for game in fuzz_corpus if game.starting_pattern is None and game.graph.unit_capacity]
+    games += [gen_lower_bound_game(i) for i in (1, 2, 3)]
+    for game in games:
+        plan = optimal_state(game)
+        slots = sorted((release, j) for j, c in enumerate(plan.counts) for release in range(c))
+        assert plan.state.paths == tuple(plan.paths[j] for _, j in slots)
+        # players on one path share the plan's PathChoice object
+        assert all(p is plan.paths[j] for p, (_, j) in zip(plan.state.paths, slots))
+        assert len({id(p) for p in plan.state.paths}) == sum(c > 0 for c in plan.counts)
+
+
 def test_optimal_state_loads_to_horizon_with_no_late_waits():
     rng = random.Random(15)
     for _ in range(250):
