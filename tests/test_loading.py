@@ -414,19 +414,18 @@ def test_load_rejects_invalid_state(two_layer_game):
 
 
 @pytest.mark.parametrize(
-    "paths, problem",
+    "paths, entry",
     [
-        ((PathChoice(5), PathChoice((1, 1))), "player 1: PathChoice(edge_indices=5) is not"),
-        ((PathChoice((1, 1)), None), "player 2: None is not"),
+        ((PathChoice(5), PathChoice((1, 1))), "player 1: PathChoice(edge_indices=5)"),
+        ((PathChoice((1, 1)), None), "player 2: None"),
     ],
 )
-def test_load_rejects_a_malformed_profile_entry(paths, problem):
+def test_load_rejects_a_malformed_profile_entry(paths, entry):
     game = Game(LinearMultigraph.from_transits([[1, 2], [2]]), 2)
-    message = f"state does not fit game: {problem} a PathChoice of a sequence of edge indices"
     for check in (load, is_ufr_equilibrium):
         with pytest.raises(LoadingError) as err:
             check(game, State(paths))
-        assert str(err.value) == message
+        assert str(err.value) == f"state does not fit game: {entry} is not a PathChoice of a sequence of edge indices"
 
 
 def test_workload_counts_only_present_players():

@@ -103,9 +103,8 @@ def test_certificate_names_every_tampered_claim():
 
 
 def test_optimal_state_orders_players_by_release_then_path(fuzz_corpus):
-    games = [game for game in fuzz_corpus if game.starting_pattern is None and game.graph.unit_capacity]
-    games += [gen_lower_bound_game(i) for i in (1, 2, 3)]
-    for game in games:
+    # fuzz_corpus holds only zero-start unit games
+    for game in [*fuzz_corpus, *(gen_lower_bound_game(i) for i in (1, 2, 3))]:
         plan = optimal_state(game)
         slots = sorted((release, j) for j, c in enumerate(plan.counts) for release in range(c))
         assert plan.state.paths == tuple(plan.paths[j] for _, j in slots)
