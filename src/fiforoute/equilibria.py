@@ -115,8 +115,8 @@ def sequential_equilibrium(game: Game, policy: TieBreakPolicy = GREEDY_QUEUE) ->
     and the default greedy-queue policy gives the one of largest makespan.
     Players who take the same path share one PathChoice.
 
-    A game of unit edges under lowest-index or greedy-queue (one rule there:
-    the first tied edge wins) is built one run of equal tail time at a time.
+    A game of unit edges under a policy whose unit-layer rule in _RULES is
+    the first tied edge is built one run of equal tail time at a time.
     The c players who reach a layer's tail at t take the c least head slots
     max(t + tau_e, ready_e) + 0, 1, ... in (time, edge index) order, and
     their head times, in order, are the next layer's runs, so the ordering
@@ -131,7 +131,7 @@ def sequential_equilibrium(game: Game, policy: TieBreakPolicy = GREEDY_QUEUE) ->
     falls below t + tau_e. Every other game goes player by player through
     the walk that also enumerates and checks.
     """
-    if policy.kind in ("lowest-index", "greedy-queue") and game.graph.all_unit_capacity():
+    if _RULES[policy.kind][0] == _FIRST and game.graph.unit_capacity:
         keys: Iterable[tuple[int, ...]] = zip(*_fill_columns(game))
     else:
         found: list[list[int]] = []
@@ -149,7 +149,9 @@ def sequential_equilibrium(game: Game, policy: TieBreakPolicy = GREEDY_QUEUE) ->
 
 def _fill_columns(game: Game) -> list[list[int]]:
     """Per layer, every player's 1-based edge, on a game of unit edges where
-    the first tied edge wins: the run-length path of sequential_equilibrium."""
+    the first tied edge wins: the run-length path of sequential_equilibrium.
+    Every layer's head arrivals come out as runs, merged into the blocks fed
+    to the next layer; nothing reads the last layer's yet."""
     # a layer's players come in blocks [t, c, length]: c players reach its
     # tail at each of the times t, t + 1, ..., t + length - 1
     blocks: list[list[int]] = []
@@ -159,18 +161,16 @@ def _fill_columns(game: Game) -> list[list[int]]:
         for t, group in groupby(game.starting_pattern):
             _merge_run(blocks, t, sum(1 for _ in group), 1)
     columns = []
-    last = game.graph.num_layers
-    for j, taus in enumerate(game.graph.transits, 1):
+    for taus in game.graph.transits:
         # head arrivals as runs (t, c, length) in order, a step's first run
-        # possibly at the previous run's last time; none on the last layer
-        runs: list[tuple[int, int, int]] | None = [] if j < last else None
+        # possibly at the previous run's last time
+        runs: list[tuple[int, int, int]] = []
         if len(taus) == 1:  # one edge: a block's players follow each other from its head
             column = [1] * game.n
             x = 0
             for t, c, length in blocks:
                 x = max(x, t + taus[0])
-                if runs is not None:
-                    runs.append((x, 1, c * length))
+                runs.append((x, 1, c * length))
                 x += c * length
         else:
             ready = [0] * len(taus)
@@ -183,18 +183,19 @@ def _fill_columns(game: Game) -> list[list[int]]:
                 else:
                     _fill_block(t, c, t + length, taus, ready, column, runs)
         columns.append(column)
-        if runs is not None:
-            blocks = []
-            for run in runs:
-                _merge_run(blocks, *run)
+        blocks = []
+        for run in runs:
+            _merge_run(blocks, *run)
     return columns
 
 
 def _fill_block(
-    t: int, c: int, end: int, taus: tuple[int, ...], ready: list[int], column: list[int], runs: list | None
+    t: int, c: int, end: int, taus: tuple[int, ...], ready: list[int], column: list[int], runs: list
 ) -> None:
     """Water-fill c players at each tail time from t to end - 1, jumping
-    whole periods once the shape of the edges recurs.
+    whole periods once the shape of the edges recurs. Every step is noted;
+    a shape that recurs with less than a whole period left jumps none, as
+    _periods gets m = 0.
 
     Blocks of up to twice the layer's width k go step by step instead: k
     edges of equal transit fed c players a step repeat with a period of at
@@ -202,47 +203,43 @@ def _fill_block(
     no whole period to jump.
     """
     seen: dict[tuple, tuple[int, int, int, int, int]] = {}  # shape -> its last step
-    marks: list[tuple[int | None, int | None]] = []  # per watched step: (reach, slack)
+    marks: list[tuple[int | None, int | None]] = []  # per step since the last jump: (reach, slack)
     while t < end:
-        watch = t + 2 < end  # a period needs a step to recur in and one to repeat
-        if watch:
-            shape = []
-            base = slack = free = None
-            for tau, r in zip(taus, ready):
-                if r >= t + tau:
-                    shape.append(r)
-                    if base is None or r < base:
-                        base = r
-                    if slack is None or r - t - tau < slack:
-                        slack = r - t - tau
-                else:
-                    shape.append(None)
-                    if free is None:
-                        free = tau  # least: the layer ascends in transit
-            if base is None:
-                base = t
-            key = tuple(None if r is None else r - base for r in shape)
-            prev = seen.get(key)
-            if prev is not None:
-                t0, offset, col0, run0, mark0 = prev
-                period, shift = t - t0, base - t - offset
-                m = _periods(period, shift, (end - t) // period, marks[mark0:])
-                if m:
-                    d = m * (period + shift)
-                    column += column[col0:] * m
-                    if runs is not None:
-                        _repeat_runs(runs, run0, period + shift, m)
-                    for e, r in enumerate(key):
-                        if r is not None:
-                            ready[e] += d
-                    t += m * period
-                    seen.clear()
-                    marks.clear()
-                    continue
-            seen[key] = (t, base - t, len(column), len(runs) if runs is not None else 0, len(marks))
+        shape = []
+        base = slack = free = None
+        for tau, r in zip(taus, ready):
+            if r >= t + tau:
+                shape.append(r)
+                if base is None or r < base:
+                    base = r
+                if slack is None or r - t - tau < slack:
+                    slack = r - t - tau
+            else:
+                shape.append(None)
+                if free is None:
+                    free = tau  # least: the layer ascends in transit
+        if base is None:
+            base = t
+        key = tuple(None if r is None else r - base for r in shape)
+        prev = seen.get(key)
+        if prev is not None:
+            t0, offset, col0, run0, mark0 = prev
+            period, shift = t - t0, base - t - offset
+            m = _periods(period, shift, (end - t) // period, marks[mark0:])
+            if m:
+                d = m * (period + shift)
+                column += column[col0:] * m
+                _repeat_runs(runs, run0, period + shift, m)
+                for e, r in enumerate(key):
+                    if r is not None:
+                        ready[e] += d
+                t += m * period
+                seen.clear()
+                marks.clear()
+                continue
+        seen[key] = (t, base - t, len(column), len(runs), len(marks))
         level = _water_fill(t, c, taus, ready, column, runs)
-        if watch:
-            marks.append((None if free is None else free - (level - t), slack))
+        marks.append((None if free is None else free - (level - t), slack))
         t += 1
 
 
@@ -299,7 +296,7 @@ def _repeat_runs(runs: list[tuple[int, int, int]], start: int, step: int, m: int
 
 
 def _water_fill(
-    t: int, c: int, taus: tuple[int, ...], ready: list[int], column: list[int], runs: list | None
+    t: int, c: int, taus: tuple[int, ...], ready: list[int], column: list[int], runs: list
 ) -> int:
     """Give c players at the tail at t the c least head slots in (time, edge)
     order; returns the time of the last slot taken."""
@@ -308,8 +305,7 @@ def _water_fill(
         x = min(heads)
         e = heads.index(x)
         column.append(e + 1)
-        if runs is not None:
-            runs.append((x, 1, 1))
+        runs.append((x, 1, 1))
         ready[e] = x + 1
         return x
     active: list[int] = []  # the edges with a slot at x, by index
@@ -321,8 +317,7 @@ def _water_fill(
             if c <= a * span:
                 break
             column += active * span
-            if runs is not None:
-                runs.append((x, a, span))
+            runs.append((x, a, span))
             c -= a * span
         x = h
         insort(active, e)
@@ -330,12 +325,10 @@ def _water_fill(
     top = x + q
     if q:
         column += active * q
-        if runs is not None:
-            runs.append((x, len(active), q))
+        runs.append((x, len(active), q))
     if r:
         column += active[:r]
-        if runs is not None:
-            runs.append((top, r, 1))
+        runs.append((top, r, 1))
         for e in active:
             if heads[e - 1] < top:
                 ready[e - 1] = top

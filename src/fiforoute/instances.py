@@ -142,31 +142,11 @@ def special_edge_indices(params: LowerBoundParams) -> dict[int, range]:
     }
 
 
-def _eq_makespan(params: LowerBoundParams, game: Game, mode: str, cap: int) -> tuple[int, str]:
-    """The equilibrium makespan of a lower-bound game, and its source."""
-    if mode == "simulate":
-        if params.n > cap:
-            raise InstanceError(
-                f"n = {params.n} exceeds the simulation cap {cap}; use analytic mode"
-            )
-        state = sequential_equilibrium(game)
-        return max(arrival_sweep(game, state.paths)[-1]), "sim"
-    if mode == "analytic":
-        return eq_completion_closed_form(params), "formula"
-    raise InstanceError(f"unknown mode {mode!r} (expected simulate or analytic)")
-
-
 def pos_ratio(i: int, mode: str = "simulate", cap: int = SIMULATION_CAP) -> Fraction:
-    """Equilibrium makespan over optimal makespan for the i-th lower-bound game.
-
-    simulate: build the greedy-queue equilibrium and load it (player count capped);
-    analytic: use the closed form for the equilibrium side. Both divide by
-    the exact minimal horizon; the result is an exact rational.
-    """
-    params = LowerBoundParams.for_index(i)
-    game = gen_lower_bound_game(i)
-    eq_makespan, _ = _eq_makespan(params, game, mode, cap)
-    return Fraction(eq_makespan, min_horizon(game))
+    """Equilibrium makespan over optimal makespan for the i-th lower-bound game,
+    as an exact rational: the ratio of lower_bound_row(i, mode, cap)."""
+    row = lower_bound_row(i, mode, cap)
+    return Fraction(row["eq_makespan"], row["opt_horizon"])
 
 
 def limit_bound(l: int) -> Fraction:
@@ -179,10 +159,22 @@ def limit_bound(l: int) -> Fraction:
 
 
 def lower_bound_row(i: int, mode: str = "simulate", cap: int = SIMULATION_CAP) -> dict:
-    """One table row of the convergence report; exact fields plus decimal echoes."""
+    """One table row of the convergence report; exact fields plus decimal echoes.
+    simulate builds the greedy-queue equilibrium and loads it (player count
+    capped), analytic takes the closed form; the optimum is min_horizon."""
     params = LowerBoundParams.for_index(i)
     game = gen_lower_bound_game(i)
-    eq_makespan, source = _eq_makespan(params, game, mode, cap)
+    if mode == "simulate":
+        if params.n > cap:
+            raise InstanceError(
+                f"n = {params.n} exceeds the simulation cap {cap}; use analytic mode"
+            )
+        state = sequential_equilibrium(game)
+        eq_makespan, source = max(arrival_sweep(game, state.paths)[-1]), "sim"
+    elif mode == "analytic":
+        eq_makespan, source = eq_completion_closed_form(params), "formula"
+    else:
+        raise InstanceError(f"unknown mode {mode!r} (expected simulate or analytic)")
     opt = min_horizon(game)
     ratio = Fraction(eq_makespan, opt)
     return {

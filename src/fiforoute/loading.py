@@ -61,10 +61,9 @@ class LoadingResult:
     makespan: int
 
     def edge_log(self, layer: int, index: int) -> EdgeLog:
-        key = (layer, index)
-        if key not in self.edge_logs:
-            return _EMPTY_LOG
-        return self.edge_logs[key]
+        """The edge's log, or a new empty one for an edge nobody used."""
+        log = self.edge_logs.get((layer, index))
+        return EdgeLog(array("q"), array("q"), array("q")) if log is None else log
 
     def __getstate__(self) -> dict:
         # the fields only: reading a derived value must not change what a
@@ -160,9 +159,6 @@ class LoadingResult:
             leaves.update(log.departs)
         times = sorted(joins.keys() | leaves.keys())
         return tuple(times), tuple(accumulate(joins[t] - leaves[t] for t in times))
-
-
-_EMPTY_LOG = EdgeLog(array("q"), array("q"), array("q"))
 
 
 def check_times_fit_int64(game: Game) -> None:

@@ -1,6 +1,10 @@
 """Command-line interface: output shapes, exit codes, argument validation."""
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -282,6 +286,25 @@ def test_lowerbound_simulation_cap(capsys):
     code, _, err = run(capsys, "lowerbound", "--i", "2", "--cap", "100")
     assert code == 2
     assert "use analytic mode" in err
+
+
+def test_exit_codes_through_a_real_process(tmp_path, capsys):
+    # python -m fiforoute.cli, so that sys.exit(main()) sets the exit status
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def cli(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "fiforoute.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+
+    done = cli("lowerbound", "--i", "1", "--format", "json")
+    assert done.returncode == 0
+    assert done.stdout == run(capsys, "lowerbound", "--i", "1", "--format", "json")[1]
+    missing = cli("load", str(tmp_path / "game.json"), str(tmp_path / "state.json"))
+    assert missing.returncode == 2
+    assert missing.stderr.startswith("error:") and "Traceback" not in missing.stderr
+    assert cli("lowerbound", "--i", "0").returncode == 2
 
 
 def test_enumerate_lists_both_equilibria(two_layer_files, capsys):

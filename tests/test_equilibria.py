@@ -209,6 +209,61 @@ def test_lower_bound_equilibria_at_i3_are_pinned():
         assert digest == "9da32dd0132c65d3c73d1549f01684d29d285e1151c2346525b8017c15f162ae", policy
 
 
+def _time_ordered_runs(rng: random.Random, t: int, count: int) -> list[tuple[int, int, int]]:
+    """count runs (t, c, length), each starting at the previous run's last
+    time or up to two steps after it."""
+    runs = []
+    for _ in range(count):
+        length = rng.randint(1, 3)
+        runs.append((t, rng.randint(1, 3), length))
+        t += length - 1 + rng.randint(0, 2)
+    return runs
+
+
+def _merged(runs) -> list[list[int]]:
+    blocks: list[list[int]] = []
+    for run in runs:
+        equilibria._merge_run(blocks, *run)
+    return blocks
+
+
+def test_merge_run_matches_a_per_time_count():
+    # runs that start at the last block's last time, of one time and of
+    # several: the blocks must count the same players at each time, in
+    # increasing time order, with no two adjacent blocks left mergeable
+    rng = random.Random(19)
+    for _ in range(3000):
+        runs = _time_ordered_runs(rng, rng.randint(0, 5), rng.randint(1, 8))
+        counts = Counter()
+        for t, c, length in runs:
+            for x in range(t, t + length):
+                counts[x] += c
+        blocks = _merged(runs)
+        assert [(t + i, c) for t, c, length in blocks for i in range(length)] == sorted(counts.items())
+        assert all(c > 0 and length > 0 for _, c, length in blocks)
+        for (t0, c0, n0), (t1, c1, _) in zip(blocks, blocks[1:]):
+            assert not (t1 == t0 + n0 and c1 == c0), blocks
+
+
+def test_repeat_runs_equals_the_merge_of_shifted_copies():
+    # a window of runs from time a to time b, after some earlier runs, and
+    # m copies of it shifted by i * step, step >= b - a: a copy's first time
+    # may meet the one before's last time
+    rng = random.Random(23)
+    for _ in range(5000):
+        runs = _time_ordered_runs(rng, 0, rng.randint(0, 2))
+        a = runs[-1][0] + runs[-1][2] - 1 + rng.randint(0, 1) if runs else rng.randint(0, 3)
+        start = len(runs)
+        window = _time_ordered_runs(rng, a, rng.randint(1, 5))
+        runs += window
+        b = max(t + length - 1 for t, _, length in window)
+        step, m = max(1, b - a + rng.randint(0, 2)), rng.randint(1, 5)
+        copies = [(t + i * step, c, length) for i in range(1, m + 1) for t, c, length in window]
+        expected = _merged(runs + copies)
+        equilibria._repeat_runs(runs, start, step, m)
+        assert _merged(runs) == expected, (window, step, m)
+
+
 def test_nine_player_profile_is_not_an_equilibrium(nine_player_game, nine_player_state):
     w = is_ufr_equilibrium(nine_player_game, nine_player_state)
     assert isinstance(w, UfrWitness)

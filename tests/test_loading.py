@@ -119,6 +119,23 @@ def test_same_step_pass_through_does_not_queue():
     assert list(log.entries) == [0] and list(log.departs) == [0]
 
 
+def test_unused_edge_log_is_new_on_every_call():
+    # a caller that changes the empty log of an unused edge must not change
+    # what a later loading reports on its unused edges
+    game = Game(LinearMultigraph.from_transits([[1, 2]]), 1)
+    state = State((PathChoice((1,)),))
+    unused = game.graph.layers[0][1]
+    log = load(game, state).edge_log(1, 2)
+    log.entries.append(0)
+    try:
+        fresh = load(game, state)
+        assert queue_length(fresh, unused, 0) == 0
+        assert workload(fresh, unused, 0) == 2
+        assert fresh.edge_log(1, 2) is not log
+    finally:
+        log.entries.pop()
+
+
 def test_fifo_departures_follow_entries():
     rng = random.Random(99)
     for _ in range(200):
