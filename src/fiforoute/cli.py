@@ -298,13 +298,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="enumerate all equilibria of a small game")
     p.add_argument("game")
-    p.add_argument("--state-budget", type=_positive, default=DEFAULT_STATE_BUDGET)
+    p.add_argument("--state-budget", type=_positive, default=DEFAULT_STATE_BUDGET,
+                   help="refuse games of more profiles (num_paths^n) than this (default: %(default)s)")
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("check-ufr", help="verify a state is a uniformly fastest route equilibrium")
     p.add_argument("game")
     p.add_argument("state")
-    p.add_argument("--path-budget", type=_positive, default=DEFAULT_PATH_BUDGET)
+    p.add_argument("--path-budget", type=_positive, default=DEFAULT_PATH_BUDGET,
+                   help="refuse games of more paths per player (num_paths) than this (default: %(default)s)")
     p.set_defaults(func=cmd_check_ufr)
 
     p = sub.add_parser("flow", help="embed a loaded state as a flow over time")

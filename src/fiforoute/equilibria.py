@@ -5,7 +5,7 @@ import random
 from bisect import bisect_left, insort
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import groupby, repeat
+from itertools import accumulate, groupby, repeat
 from typing import Union
 
 from .loading import arrival_sweep, check_times_fit_int64, load, non_decreasing
@@ -18,13 +18,12 @@ class BudgetError(FifoRouteError):
 
 
 class ConstructionError(FifoRouteError):
-    """A policy of unknown kind, or a failed ordering invariant of the walk:
-    a player reached a node before a lower-index one."""
+    """A policy of unknown kind, or a failed ordering invariant of the walk or
+    the enumeration: a player reached a node before a lower-index one."""
 
 
-# the policy kinds, and what a tie in head arrival does under each in the
-# walk: on a layer of unit edges and on one with a wider edge. Enumeration
-# and the check take every tied edge, as seeded does before its draw.
+# the policy kinds, and what a tie in head arrival does under each in the walk: on a
+# layer of unit edges and on one with a wider edge. The check keeps every tied edge, as seeded does.
 _FIRST, _EVERY, _SLOWEST, _LONGEST_QUEUE, _SHORTEST_QUEUE = range(5)
 _RULES = {
     "greedy-queue": (_FIRST, _LONGEST_QUEUE),
@@ -128,15 +127,13 @@ def sequential_equilibrium(game: Game, policy: TieBreakPolicy = GREEDY_QUEUE) ->
     column grows by the period's slice m times and each queued ready time
     by m (p + s). For s > 0, m stops before the water level passes a free
     edge's head t + tau_e; for s < 0, before a queued edge's ready time
-    falls below t + tau_e. Every other game goes player by player through
-    the walk that also enumerates and checks.
+    falls below t + tau_e. Every other game goes player by player through _walk.
     """
     if _RULES[policy.kind][0] == _FIRST and game.graph.unit_capacity:
         keys: Iterable[tuple[int, ...]] = zip(*_fill_columns(game))
     else:
-        found: list[list[int]] = []
-        _walk(game, policy, found)
-        keys = zip(*[iter(found[0])] * game.graph.num_layers)  # m edges per player
+        choice = _walk(game, policy)[1]
+        keys = zip(*[iter(choice)] * game.graph.num_layers)  # m edges per player
     path_of: dict[tuple[int, ...], PathChoice] = {}
     paths = []
     for key in keys:
@@ -362,9 +359,10 @@ def _merge_run(blocks: list[list[int]], t: int, c: int, length: int) -> None:
     blocks.append([t, c, length])
 
 
-def _walk(game: Game, settle: TieBreakPolicy | State | None, found: list[list[int]]) -> int:
+def _walk(game: Game, settle: TieBreakPolicy | State) -> tuple[int, list[int]]:
     """Walk the players in index order, layer by layer, each into an edge of
-    least head arrival; returns how many players it passed.
+    least head arrival; returns how many players it passed and the 1-based
+    edge of each step.
 
     Step s puts player s // m on layer s % m. From tail time t, edge e's
     head arrival is max(t + tau_e, ready_e): by the rule of arrival_sweep a
@@ -377,85 +375,61 @@ def _walk(game: Game, settle: TieBreakPolicy | State | None, found: list[list[in
       queue is H - t - tau_e, so greedy-queue keeps the first and
       shortest-queue the one of largest transit; on other layers both
       count the entrants that reach e's head at t + tau_e or later.
-    - None takes every tied edge in index order, depth first, through a
-      stack of open ties; backtracking pops the undone steps' arrivals.
     - a State takes the profile's own edge and stops at the first player
       whose edge misses, returning its index.
-    The 1-based edges of every complete walk go to `found`, and each step
-    asserts that head arrivals never decrease in player order.
+    Each step asserts that head arrivals never decrease in player order.
     """
     m = game.graph.num_layers
     steps = game.n * m
     kind = settle.kind if isinstance(settle, TieBreakPolicy) else None
     rng = random.Random(settle.seed) if kind == "seeded" else None
-    own = [e - 1 for path in settle.paths for e in path.edge_indices] if isinstance(settle, State) else None
+    own = None if kind else [e - 1 for path in settle.paths for e in path.edge_indices]
     layers = []
     for taus, caps in zip(game.graph.transits, game.graph.capacities):
         wide = max(caps) > 1
-        # head lists serve wide layers (ready times, queue counts) and undoing
-        hits = [[0] * c for c in caps] if wide or settle is None else None
+        hits = [[0] * c for c in caps] if wide else None  # wide layers: ready times, queue counts
         rule = _RULES[kind][wide] if kind else _EVERY
         layers.append((taus, caps, [0] * len(taus), hits, rule))
 
     starts = game.start_times()
     heads = [0] * (steps + m)  # head arrival per step; heads[s - m] is 0 for s < m
     choice = [0] * steps  # the 1-based edge of each step
-    ties: list[tuple[int, list[int]]] = []  # open ties: (step, the tied edges left, last first)
-    s = 0
-    while True:
-        if s == steps:
-            while ties and not ties[-1][1]:
-                ties.pop()
-            found.append(choice[:] if ties else choice)
-            if not ties:
-                return game.n
-            while s > ties[-1][0]:  # undo the steps down to the open tie's
-                s -= 1
-                _, caps, ready, hits, _ = layers[s % m]
-                e = choice[s] - 1
-                hits[e].pop()
-                ready[e] = hits[e][-caps[e]] + 1
+    for s in range(steps):
         j = s % m
         taus, caps, ready, hits, rule = layers[j]
-        if ties and ties[-1][0] == s:  # back at an open tie: its next edge
-            best, best_h = ties[-1][1].pop(), heads[s]
-        else:
-            t = heads[s - 1] if j else starts[s // m]
-            best, best_h = 0, t + taus[0]
-            if ready[0] > best_h:
-                best_h = ready[0]
-            tied = [0] if rule == _EVERY else None
-            for e in range(1, len(taus)):
-                tau = taus[e]
-                h = t + tau
-                if h > best_h:
-                    break
-                if ready[e] > h:
-                    h = ready[e]
-                if h < best_h:
-                    best, best_h = e, h
-                    if tied is not None:
-                        tied = [e]
-                elif h == best_h and rule:
-                    if rule == _EVERY:
-                        tied.append(e)
-                    elif rule == _SLOWEST:
-                        if tau > taus[best]:
-                            best = e
-                    else:
-                        q = len(hits[e]) - bisect_left(hits[e], t + tau)
-                        q_best = len(hits[best]) - bisect_left(hits[best], t + taus[best])
-                        if q > q_best if rule == _LONGEST_QUEUE else q < q_best:
-                            best = e
-            if own is not None:
-                if own[s] not in tied:
-                    return s // m
-                best = own[s]
-            elif tied is not None and len(tied) > 1:
-                if rng is None:
-                    ties.append((s, tied[:0:-1]))
+        t = heads[s - 1] if j else starts[s // m]
+        best, best_h = 0, t + taus[0]
+        if ready[0] > best_h:
+            best_h = ready[0]
+        tied = [0] if rule == _EVERY else None
+        for e in range(1, len(taus)):
+            tau = taus[e]
+            h = t + tau
+            if h > best_h:
+                break
+            if ready[e] > h:
+                h = ready[e]
+            if h < best_h:
+                best, best_h = e, h
+                if tied is not None:
+                    tied = [e]
+            elif h == best_h and rule:
+                if rule == _EVERY:
+                    tied.append(e)
+                elif rule == _SLOWEST:
+                    if tau > taus[best]:
+                        best = e
                 else:
-                    best = tied[rng.randrange(len(tied))]
+                    q = len(hits[e]) - bisect_left(hits[e], t + tau)
+                    q_best = len(hits[best]) - bisect_left(hits[best], t + taus[best])
+                    if q > q_best if rule == _LONGEST_QUEUE else q < q_best:
+                        best = e
+        if own is not None:
+            if own[s] not in tied:
+                return s // m, choice
+            best = own[s]
+        elif rng is not None and len(tied) > 1:
+            best = tied[rng.randrange(len(tied))]
 
         if hits is None:
             ready[best] = best_h + 1
@@ -469,7 +443,7 @@ def _walk(game: Game, settle: TieBreakPolicy | State | None, found: list[list[in
             )
         heads[s] = best_h
         choice[s] = best + 1
-        s += 1
+    return game.n, choice
 
 
 DEFAULT_PATH_BUDGET = 10_000
@@ -492,14 +466,14 @@ def is_ufr_equilibrium(
     alternative path is swept (arrival_sweep) and a strictly earlier arrival
     is a witness.
     """
-    if path_budget < 1:
-        raise BudgetError("path budget must be positive")
+    if type(path_budget) is not int or path_budget < 1:
+        raise BudgetError(f"path budget must be an integer >= 1, not {path_budget!r}")
     if _capped_product(game.graph.layer_sizes, path_budget) > path_budget:
         raise BudgetError(
             f"instance too large for exact check: over the path budget of {path_budget} paths per player"
         )
     base = load(game, state).arrivals
-    first = _walk(game, state, []) if all(map(non_decreasing, base)) else 0
+    first = _walk(game, state)[0] if all(map(non_decreasing, base)) else 0
     if first == game.n:
         return True
     alternatives = all_paths(game.graph)
@@ -521,32 +495,91 @@ def is_ufr_equilibrium(
 def enumerate_equilibria(game: Game, state_budget: int = DEFAULT_STATE_BUDGET) -> list[State]:
     """All equilibria of a tiny game, lexicographically ordered by path choices.
 
-    In an equilibrium no player reaches a node before a lower-index one: the
-    lower one could take the overtaker's edge and arrive no later. So each
-    player's arrivals depend only on lower-index players, and the equilibria
-    are the ordered profiles in which every player enters an edge of least
-    head arrival on every layer (see is_ufr_equilibrium): the sequential
-    constructions over every tie choice. The constructor's walk goes depth
-    first over the tied edges in index order, which gives lexicographic
-    order. The game is valid since it was built. The budget counts all
-    num_paths**n states; a game whose times could exceed int64 raises
-    LoadingError.
+    In an equilibrium no player reaches a node before a lower-index one, so
+    the equilibria are the ordered profiles in which every player enters an
+    edge of least head arrival on every layer (see is_ufr_equilibrium), and
+    a player's moves depend only on the state the lower-index ones leave:
+    per edge, their last `capacity` head arrivals. A forward pass lists each
+    player's moves from each distinct state, depth first over the tied edges
+    as _walk scans them: a path and the state it leaves. Equal states merge,
+    so each subgame is solved once, and each profile prefix grows by its
+    state's moves in order. The budget, an int >= 1, counts all num_paths**n
+    profiles; a game whose times could exceed int64 raises LoadingError.
     """
-    if state_budget < 1:
-        raise BudgetError("state budget must be positive")
-    n = game.n
+    if type(state_budget) is not int or state_budget < 1:
+        raise BudgetError(f"state budget must be an integer >= 1, not {state_budget!r}")
     num_paths = _capped_product(game.graph.layer_sizes, state_budget)
     # one path means one state for any n, without n multiplications
-    total = _capped_product(repeat(num_paths, n), state_budget) if num_paths > 1 else 1
+    total = _capped_product(repeat(num_paths, game.n), state_budget) if num_paths > 1 else 1
     if total > state_budget:
-        raise BudgetError(f"budget exceeded: {n} players have over {state_budget} states")
+        raise BudgetError(f"budget exceeded: {game.n} players have over {state_budget} states")
     check_times_fit_int64(game)
 
-    found: list[list[int]] = []
-    _walk(game, None, found)
     m = game.graph.num_layers
-    path_of = {p.edge_indices: p for p in all_paths(game.graph)}
-    return [State(tuple(path_of[key] for key in zip(*[iter(choice)] * m))) for choice in found]
+    paths = all_paths(game.graph)
+    # a state: each edge's last `capacity` head arrivals plus one, oldest first, then each layer's latest head
+    layers = []
+    size = 0
+    weight = len(paths)  # of an edge in the index of a path in all_paths
+    for taus, caps in zip(game.graph.transits, game.graph.capacities):
+        weight //= len(taus)
+        layers.append((taus, range(1, len(taus)), caps, list(accumulate(caps[:-1], initial=size)), weight))
+        size += sum(caps)
+    states = [[0] * (size + m)]
+    pending = []  # the moves from a state left to finish: (layer, tail time, state, path index)
+    forced = []  # the paths of the players since the last with a choice, each with one move
+    profiles = [((), 0)]  # prefixes of the profiles, in lexicographic order, each with its state's index
+    for i, start in enumerate(game.start_times()):
+        found = []  # the player's moves: (its state, path index, next state)
+        for k, st in enumerate(states):
+            j, t, p = 0, start, 0
+            while True:
+                while j < m:
+                    taus, rest, caps, offsets, weight = layers[j]
+                    best, best_h = 0, t + taus[0]
+                    if st[offsets[0]] > best_h:
+                        best_h = st[offsets[0]]
+                    tied = None  # the tied edges, once there are two
+                    for e in rest:
+                        h = t + taus[e]
+                        if h > best_h:
+                            break
+                        if st[offsets[e]] > h:
+                            h = st[offsets[e]]
+                        if h < best_h:
+                            best, best_h, tied = e, h, None
+                        elif h == best_h:
+                            tied = [best, e] if tied is None else [*tied, e]
+                    if best_h < st[size + j]:  # the layer's latest head arrival
+                        raise ConstructionError(f"player {i + 1} reaches node {j + 1} before player {i}")
+                    st[size + j] = t = best_h
+                    j += 1
+                    if tied:
+                        for e in tied[:0:-1]:  # the other tied edges, last first, each on a copy
+                            o, c, alt = offsets[e], caps[e], st[:]
+                            alt[o:o + c] = st[o + 1:o + c] + [t + 1]
+                            pending.append((j, t, alt, p + e * weight))
+                    if caps[best] == 1:
+                        st[offsets[best]] = t + 1
+                    else:
+                        o, c = offsets[best], caps[best]
+                        st[o:o + c] = st[o + 1:o + c] + [t + 1]
+                    p += best * weight
+                found.append((k, p, st))
+                if not pending:
+                    break
+                j, t, st, p = pending.pop()
+        if len(found) == 1:  # one state, changed in place, and one move p: every profile takes it
+            forced.append(paths[p])
+            continue
+        rows = [[] for _ in states]  # per state, its moves
+        index: dict[tuple[int, ...], int] = {}  # each next state, to its index
+        for k, p, st in found:
+            rows[k].append((paths[p], index.setdefault(tuple(st), len(index))))
+        profiles = [((*prefix, *forced, path), x) for prefix, k in profiles for path, x in rows[k]]
+        states = list(map(list, index))
+        forced.clear()
+    return [State(prefix + tuple(forced)) for prefix, _ in profiles]
 
 
 def _capped_product(factors: Iterable[int], cap: int) -> int:

@@ -82,7 +82,10 @@ class LinearMultigraph:
             caps = capacities[j] if capacities is not None else [1] * len(layer_transits)
             if len(caps) != len(layer_transits):
                 raise ModelError(f"layer {j + 1}: capacity list length mismatch")
-            ranked = sorted(range(len(layer_transits)), key=lambda p: layer_transits[p])
+            try:
+                ranked = sorted(range(len(layer_transits)), key=lambda p: layer_transits[p])
+            except TypeError:  # values that do not compare; Game names any other wrong type by edge
+                raise ModelError(f"layer {j + 1}: transits must be integers") from None
             edges = tuple(
                 Edge(j + 1, i + 1, layer_transits[p], caps[p])
                 for i, p in enumerate(ranked)
@@ -218,6 +221,8 @@ def validate_state(game: Game, state: State) -> list[str]:
     Players who share one PathChoice object share its check; every problem
     is still reported for each of them, in player order.
     """
+    if not isinstance(state, State):
+        return [f"{state!r} is not a State"]
     problems: list[str] = []
     if state.n != game.n:
         problems.append(f"state has {state.n} paths, game has {game.n} players")

@@ -7,7 +7,8 @@ layer sweep: it records every `LoadingResult` field while simulating, so it
 pins the sweep's derived logs, traces and queue series field by field.
 `reload_check` is the deviation check as a plain loop over `heap_load`
 reloads. `replay_construct` is the sequential constructor by the workload
-rule, counting every edge's queue afresh from a plain list of departures.
+rule, counting every edge's queue afresh from a plain list of departures;
+`replay_enumerate` branches that rule over every tied edge instead.
 `table_enumerate` finds every equilibrium from one int64 arrival table over
 all num_paths**n states, without the ordering argument the library uses.
 `naive_check_flow` is the flow feasibility check with the conservation loop
@@ -324,6 +325,37 @@ def replay_construct(game: Game, policy: TieBreakPolicy) -> State:
             choice.append(edge.index_in_layer)
         paths.append(PathChoice(tuple(choice)))
     return State(tuple(paths))
+
+
+def replay_enumerate(game: Game) -> list[State]:
+    """Every profile replay_construct's least-workload rule can build, in
+    lexicographic order: each player, layer by layer, takes every edge of
+    least workload in index order, depth first, on its own copy of every
+    edge's departures. No two choices share a subgame, so each is replayed
+    from scratch; slow, but it needs no bound on num_paths**n.
+    """
+    m = game.graph.num_layers
+    found = []
+
+    def step(s: int, t: int, departs: list[list[list[int]]], edges: tuple[int, ...]) -> None:
+        if s == game.n * m:
+            found.append(State(tuple(PathChoice(edges[i:i + m]) for i in range(0, len(edges), m))))
+            return
+        i, j = divmod(s, m)
+        if j == 0:
+            t = game.start_time(i)
+        layer = game.graph.layers[j]
+        scored = [e.transit + sum(1 for out in d if out >= t) // e.capacity for e, d in zip(layer, departs[j])]
+        for e, w in zip(layer, scored):
+            if w == min(scored):
+                d = departs[j][e.index_in_layer - 1]
+                out = max(t, d[-e.capacity] + 1) if len(d) >= e.capacity else t
+                branch = [[list(log) for log in logs] for logs in departs]
+                branch[j][e.index_in_layer - 1].append(out)
+                step(s + 1, out + e.transit, branch, edges + (e.index_in_layer,))
+
+    step(0, 0, [[[] for _ in layer] for layer in game.graph.layers], ())
+    return found
 
 
 def table_enumerate(game: Game) -> list[State]:

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
+import time
 from collections import Counter
 from itertools import product
 from math import factorial
@@ -34,7 +36,7 @@ from fiforoute import (
 )
 from fiforoute import equilibria
 from conftest import random_capacitated_game, random_deep_game, random_game, random_pattern, random_state
-from reference import reload_check, replay_construct, table_enumerate
+from reference import reload_check, replay_construct, replay_enumerate, table_enumerate
 
 
 def test_policy_names_round_trip():
@@ -312,6 +314,60 @@ def test_enumerate_matches_table_oracle(corpus, step, request):
         checked += 1
         found += len(eqs)
     assert checked > 400 and found > 5_000
+
+
+def test_enumerate_matches_replay_oracle_on_tie_heavy_games(nine_player_game):
+    # whole lists in order, and one PathChoice per distinct path: the nine-player
+    # example (6 912 equilibria of 8^9 profiles, over the default budget), a
+    # capacitated game with a starting pattern, and random games with transits
+    # in {1, 2}, half of them capacitated and half with patterns
+    wide = Game(LinearMultigraph.from_transits([[1, 1, 2], [1, 1]], [[2, 1, 1], [1, 2]]), 7, (0, 0, 1, 1, 1, 2, 3))
+    games = [nine_player_game, wide]
+    rng = random.Random(12)
+    while len(games) < 152:
+        layers = [sorted(rng.choice((1, 2)) for _ in range(rng.randint(1, 3))) for _ in range(rng.randint(1, 3))]
+        caps = [[rng.randint(1, 2) for _ in layer] for layer in layers] if rng.random() < 0.5 else None
+        n = rng.randint(1, 5)
+        pattern = random_pattern(rng, n, 2) if rng.random() < 0.5 else None
+        games.append(Game(LinearMultigraph.from_transits(layers, caps), n, pattern))
+    counts = []
+    for game in games:
+        eqs = enumerate_equilibria(game, state_budget=game.num_paths() ** game.n)
+        assert eqs == replay_enumerate(game), game
+        assert len({id(p) for st in eqs for p in st.paths}) == len({p for st in eqs for p in st.paths}), game
+        counts.append(len(eqs))
+    assert counts[:2] == [6912, 1296] and sum(c > 1 for c in counts[2:]) > 100
+
+
+def test_enumerate_wall_clock_gates(nine_player_game):
+    # the nine-player example with the budget raised, and a one-path game whose
+    # 200 000 players have one profile; each well above its time on a 2-core box
+    def best(game, repeats, **budget):
+        seconds = []
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            eqs = enumerate_equilibria(game, **budget)
+            seconds.append(time.perf_counter() - t0)
+        return min(seconds), eqs
+
+    elapsed, eqs = best(nine_player_game, 3, state_budget=8**9)
+    assert len(eqs) == 6912 and elapsed < 1.0, f"nine-player enumeration took {elapsed:.3f} s"
+    elapsed, eqs = best(Game(LinearMultigraph.from_transits([[1]]), 200_000), 2)
+    assert eqs == [State((PathChoice((1,)),) * 200_000)], eqs[:1]
+    assert elapsed < 2.0, f"one-path game took {elapsed:.3f} s"
+
+
+def test_budgets_must_be_ints_of_at_least_one(two_layer_game, two_layer_state):
+    # a string used to raise TypeError, and 1.5 passed and then read "over 1.5 states"
+    for budget in ("x", 1.5, 2.0, True, None, 0, -1):
+        shown = re.escape(repr(budget))
+        with pytest.raises(BudgetError, match=rf"^state budget must be an integer >= 1, not {shown}$"):
+            enumerate_equilibria(two_layer_game, state_budget=budget)
+        with pytest.raises(BudgetError, match=rf"^path budget must be an integer >= 1, not {shown}$"):
+            is_ufr_equilibrium(two_layer_game, two_layer_state, path_budget=budget)
+    # the least budgets that cover the game: 2**3 profiles, 2 paths per player
+    assert enumerate_equilibria(two_layer_game, state_budget=8) == enumerate_equilibria(two_layer_game)
+    assert is_ufr_equilibrium(two_layer_game, two_layer_state, path_budget=2) is True
 
 
 def test_path_budget_guard(nine_player_game):

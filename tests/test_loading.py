@@ -445,6 +445,16 @@ def test_load_rejects_a_malformed_profile_entry(paths, entry):
         assert str(err.value) == f"state does not fit game: {entry} is not a PathChoice of a sequence of edge indices"
 
 
+def test_load_rejects_a_state_that_is_not_a_state():
+    # used to raise AttributeError from validate_state
+    game = Game(LinearMultigraph.from_transits([[1, 2], [2]]), 2)
+    for check in (load, is_ufr_equilibrium):
+        for state in ("abc", None, (PathChoice((1, 1)), PathChoice((1, 1)))):
+            with pytest.raises(LoadingError) as err:
+                check(game, state)
+            assert str(err.value) == f"state does not fit game: {state!r} is not a State"
+
+
 def test_workload_counts_only_present_players():
     # after all players leave an edge, its workload falls back to the transit
     from fiforoute import Game, LinearMultigraph

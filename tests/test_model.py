@@ -55,6 +55,16 @@ def test_from_transits_sorts_layers_and_records_input_order():
     assert g.edge(2, 2).transit == 5
 
 
+def test_from_transits_names_a_layer_whose_transits_do_not_compare():
+    # used to raise TypeError from the sort, before Game could name the entry
+    for transits in ([[1, "a"]], [[1], [2, None, 1]]):
+        with pytest.raises(ModelError, match=rf"^layer {len(transits)}: transits must be integers$"):
+            LinearMultigraph.from_transits(transits)
+    # values that do compare are sorted, and Game names the one of the wrong type
+    with pytest.raises(ModelError, match=r"invalid game: layer 1 edge 2: transit must be an integer >= 1$"):
+        Game(LinearMultigraph.from_transits([[2.5, 1]]), 1)
+
+
 def test_edge_lookup_rejects_out_of_range():
     g = LinearMultigraph.from_transits([[1, 2]])
     with pytest.raises(ModelError, match="no such edge"):
