@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import accumulate, groupby, repeat
 from typing import Union
 
-from .loading import arrival_sweep, check_times_fit_int64, load, non_decreasing
+from .loading import arrival_sweep, check_times_fit_int64, load
 # validate_game is unused here; perfbench's span self-test reads equilibria.validate_game
 from .model import FifoRouteError, Game, PathChoice, State, all_paths, validate_game
 
@@ -23,7 +23,7 @@ class ConstructionError(FifoRouteError):
 
 
 # the policy kinds, and what a tie in head arrival does under each in the walk: on a
-# layer of unit edges and on one with a wider edge. The check keeps every tied edge, as seeded does.
+# layer of unit edges and on one with a wider edge. The check takes the profile's own edge.
 _FIRST, _EVERY, _SLOWEST, _LONGEST_QUEUE, _SHORTEST_QUEUE = range(5)
 _RULES = {
     "greedy-queue": (_FIRST, _LONGEST_QUEUE),
@@ -362,87 +362,78 @@ def _merge_run(blocks: list[list[int]], t: int, c: int, length: int) -> None:
 def _walk(game: Game, settle: TieBreakPolicy | State) -> tuple[int, list[int]]:
     """Walk the players in index order, layer by layer, each into an edge of
     least head arrival; returns how many players it passed and the 1-based
-    edge of each step.
+    edge of each step, player by player.
 
-    Step s puts player s // m on layer s % m. From tail time t, edge e's
-    head arrival is max(t + tau_e, ready_e): by the rule of arrival_sweep a
-    newcomer queues behind the lower-index entrants, so ready_e is h[-c] + 1
-    for the list h of their head times at e, which starts with c zeros that
-    never bind, as every head time is at least 1. Layers ascend in transit,
-    so the scan stops at the first edge whose transit alone is too slow.
-    `settle` decides ties:
+    From tail time t, edge e's head arrival is max(t + tau_e, ready_e): by
+    the rule of arrival_sweep a newcomer queues behind the lower-index
+    entrants, so ready_e is h[-c] + 1 for the list h of their head times at
+    e, which starts with c zeros that never bind, as every head time is at
+    least 1. Layers ascend in transit, so the scan stops at the first edge
+    whose transit alone is too slow. `settle` decides ties:
     - a policy takes one tied edge. On a layer of unit edges a tied edge's
       queue is H - t - tau_e, so greedy-queue keeps the first and
       shortest-queue the one of largest transit; on other layers both
       count the entrants that reach e's head at t + tau_e or later.
     - a State takes the profile's own edge and stops at the first player
-      whose edge misses, returning its index.
-    Each step asserts that head arrivals never decrease in player order.
+      whose edge's head arrival is later than the least, returning its index.
+    Each step asserts that the player reaches the layer's head no earlier
+    than the latest head arrival there, the previous player's.
     """
-    m = game.graph.num_layers
-    steps = game.n * m
     kind = settle.kind if isinstance(settle, TieBreakPolicy) else None
     rng = random.Random(settle.seed) if kind == "seeded" else None
-    own = None if kind else [e - 1 for path in settle.paths for e in path.edge_indices]
     layers = []
     for taus, caps in zip(game.graph.transits, game.graph.capacities):
         wide = max(caps) > 1
         hits = [[0] * c for c in caps] if wide else None  # wide layers: ready times, queue counts
-        rule = _RULES[kind][wide] if kind else _EVERY
-        layers.append((taus, caps, [0] * len(taus), hits, rule))
+        rule = _RULES[kind][wide] if kind else _FIRST
+        layers.append((taus, range(1, len(taus)), caps, [0] * len(taus), hits, rule))
 
-    starts = game.start_times()
-    heads = [0] * (steps + m)  # head arrival per step; heads[s - m] is 0 for s < m
-    choice = [0] * steps  # the 1-based edge of each step
-    for s in range(steps):
-        j = s % m
-        taus, caps, ready, hits, rule = layers[j]
-        t = heads[s - 1] if j else starts[s // m]
-        best, best_h = 0, t + taus[0]
-        if ready[0] > best_h:
-            best_h = ready[0]
-        tied = [0] if rule == _EVERY else None
-        for e in range(1, len(taus)):
-            tau = taus[e]
-            h = t + tau
-            if h > best_h:
-                break
-            if ready[e] > h:
-                h = ready[e]
-            if h < best_h:
-                best, best_h = e, h
-                if tied is not None:
-                    tied = [e]
-            elif h == best_h and rule:
-                if rule == _EVERY:
-                    tied.append(e)
-                elif rule == _SLOWEST:
-                    if tau > taus[best]:
-                        best = e
-                else:
-                    q = len(hits[e]) - bisect_left(hits[e], t + tau)
-                    q_best = len(hits[best]) - bisect_left(hits[best], t + taus[best])
-                    if q > q_best if rule == _LONGEST_QUEUE else q < q_best:
-                        best = e
-        if own is not None:
-            if own[s] not in tied:
-                return s // m, choice
-            best = own[s]
-        elif rng is not None and len(tied) > 1:
-            best = tied[rng.randrange(len(tied))]
+    front = [0] * game.graph.num_layers  # each layer's latest head arrival
+    choice = []  # the 1-based edge of each step
+    for i, t in enumerate(game.start_times()):
+        for j, (taus, rest, caps, ready, hits, rule) in enumerate(layers):
+            best, best_h = 0, t + taus[0]
+            if ready[0] > best_h:
+                best_h = ready[0]
+            tied = [0] if rule == _EVERY else None
+            for e in rest:
+                tau = taus[e]
+                h = t + tau
+                if h > best_h:
+                    break
+                if ready[e] > h:
+                    h = ready[e]
+                if h < best_h:
+                    best, best_h = e, h
+                    if tied is not None:
+                        tied = [e]
+                elif h == best_h and rule:
+                    if rule == _EVERY:
+                        tied.append(e)
+                    elif rule == _SLOWEST:
+                        if tau > taus[best]:
+                            best = e
+                    else:
+                        q = len(hits[e]) - bisect_left(hits[e], t + tau)
+                        q_best = len(hits[best]) - bisect_left(hits[best], t + taus[best])
+                        if q > q_best if rule == _LONGEST_QUEUE else q < q_best:
+                            best = e
+            if kind is None:
+                best = settle.paths[i].edge_indices[j] - 1
+                if max(t + taus[best], ready[best]) > best_h:
+                    return i, choice
+            elif rng is not None and len(tied) > 1:
+                best = tied[rng.randrange(len(tied))]
 
-        if hits is None:
-            ready[best] = best_h + 1
-        else:
-            hits[best].append(best_h)
-            ready[best] = hits[best][-caps[best]] + 1
-        if best_h < heads[s - m]:
-            raise ConstructionError(
-                f"player {s // m + 1} reaches node {j + 1} at {best_h}, "
-                f"before the previous front at {heads[s - m]}"
-            )
-        heads[s] = best_h
-        choice[s] = best + 1
+            if hits is None:
+                ready[best] = best_h + 1
+            else:
+                hits[best].append(best_h)
+                ready[best] = hits[best][-caps[best]] + 1
+            if best_h < front[j]:
+                raise ConstructionError(f"player {i + 1} reaches node {j + 1} before player {i}")
+            front[j] = t = best_h
+            choice.append(best + 1)
     return game.n, choice
 
 
@@ -456,15 +447,25 @@ def is_ufr_equilibrium(
     """Exact deviation check: True, or the first witness in (player, path, node) order.
 
     The base load validates the state; the game is valid since it was built.
-    If the load is ordered (at every node, arrivals non-decreasing in player
-    index), each player's arrivals depend only on the lower-index players,
-    whom it queues behind. The constructor's walk then replays the profile's
-    own edges: a player that reaches the least head arrival on every layer
-    cannot gain (a deviation never reaches a node earlier, so it overtakes no
-    lower-index player and those stay put); one that misses it gains on a
-    faster edge. From the first that misses (player 1 if unordered), every
-    alternative path is swept (arrival_sweep) and a strictly earlier arrival
-    is a witness.
+    The constructor's walk replays the profile's own edges, each player
+    queueing behind the lower-index ones only, and stops at the first player
+    p whose edge is not one of least head arrival on some layer. Then:
+    (a) In any profile where the players before p keep their paths, they
+        arrive as in the replay and none can gain. By induction over the
+        layers: player p - 1 enters an edge of least head arrival from a
+        tail time no later than any player >= p, who faces every entrant it
+        faced, so no edge gives them an earlier head. None of them reaches
+        a node before p - 1, and ties go by index, so only lower-index
+        players are ever ahead of a player q < p. A deviation by q, from a
+        tail time no earlier than its replay one, meets the same entrants
+        and so never reaches a node before its replay arrival.
+    (b) Player p gains. Up to the layer where it misses, the argument of (a)
+        puts only lower-index players ahead of it, so that layer's edge of
+        least head arrival takes it to the layer's node strictly earlier.
+    So the verdict is True exactly when the replay passes every player, and
+    otherwise the first witness is player p's: its alternative paths are
+    swept (arrival_sweep) in order, and the first strictly earlier arrival
+    is the witness.
     """
     if type(path_budget) is not int or path_budget < 1:
         raise BudgetError(f"path budget must be an integer >= 1, not {path_budget!r}")
@@ -473,23 +474,20 @@ def is_ufr_equilibrium(
             f"instance too large for exact check: over the path budget of {path_budget} paths per player"
         )
     base = load(game, state).arrivals
-    first = _walk(game, state)[0] if all(map(non_decreasing, base)) else 0
-    if first == game.n:
+    i = _walk(game, state)[0]
+    if i == game.n:
         return True
-    alternatives = all_paths(game.graph)
+    own = state.paths[i]
     paths = list(state.paths)
-    for i in range(first, game.n):
-        own = state.paths[i]
-        for alt in alternatives:
-            if alt == own:
-                continue
-            paths[i] = alt
-            arrivals = arrival_sweep(game, paths)
-            for j in range(1, game.graph.num_layers + 1):
-                if arrivals[j][i] < base[j][i]:
-                    return UfrWitness(i + 1, j, alt, arrivals[j][i])
-        paths[i] = own
-    return True
+    for alt in all_paths(game.graph):
+        if alt == own:
+            continue
+        paths[i] = alt
+        arrivals = arrival_sweep(game, paths)
+        for j in range(1, game.graph.num_layers + 1):
+            if arrivals[j][i] < base[j][i]:
+                return UfrWitness(i + 1, j, alt, arrivals[j][i])
+    raise AssertionError(f"unreachable: player {i + 1} misses an edge of least head arrival")
 
 
 def enumerate_equilibria(game: Game, state_budget: int = DEFAULT_STATE_BUDGET) -> list[State]:

@@ -6,8 +6,8 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, fields
 from functools import cached_property
-from itertools import accumulate, islice
-from operator import itemgetter, le, sub
+from itertools import accumulate
+from operator import itemgetter, sub
 from typing import Iterator, Sequence
 
 # validate_game is unused here; perfbench's span self-test reads loading.validate_game
@@ -174,12 +174,6 @@ def check_times_fit_int64(game: Game) -> None:
     bound = game.start_time(game.n - 1) + sum(map(max, graph.transits)) + game.n * graph.num_layers
     if bound >= 2**62:
         raise LoadingError(f"times may reach {bound}, beyond the 2**62 limit of int64 time tables")
-
-
-def non_decreasing(values: Sequence[int]) -> bool:
-    """Whether values never fall from one index to the next. For the arrivals
-    at a node this means the FIFO order (arrival, player index) is index order."""
-    return all(map(le, values, islice(values, 1, None)))
 
 
 def arrival_sweep(game: Game, paths: Sequence[PathChoice]) -> tuple[tuple[int, ...], ...]:

@@ -74,14 +74,18 @@ class LinearMultigraph:
 
         The sort is stable, so equal transit times keep their input order.
         """
-        if capacities is not None and len(capacities) != len(transits):
+        if not isinstance(transits, Sequence):
+            raise ModelError("transits must be a sequence of per-layer lists")
+        if capacities is not None and (not isinstance(capacities, Sequence) or len(capacities) != len(transits)):
             raise ModelError("capacities must have one list per layer")
         layers = []
         orders = []
         for j, layer_transits in enumerate(transits):
+            if not isinstance(layer_transits, Sequence):
+                raise ModelError(f"layer {j + 1}: transits must be a list")
             caps = capacities[j] if capacities is not None else [1] * len(layer_transits)
-            if len(caps) != len(layer_transits):
-                raise ModelError(f"layer {j + 1}: capacity list length mismatch")
+            if not isinstance(caps, Sequence) or len(caps) != len(layer_transits):
+                raise ModelError(f"layer {j + 1}: capacities must be a list as long as its transits")
             try:
                 ranked = sorted(range(len(layer_transits)), key=lambda p: layer_transits[p])
             except TypeError:  # values that do not compare; Game names any other wrong type by edge
@@ -223,6 +227,8 @@ def validate_state(game: Game, state: State) -> list[str]:
     """
     if not isinstance(state, State):
         return [f"{state!r} is not a State"]
+    if not isinstance(state.paths, Sequence):
+        return [f"{state.paths!r} is not a sequence of paths"]
     problems: list[str] = []
     if state.n != game.n:
         problems.append(f"state has {state.n} paths, game has {game.n} players")

@@ -11,6 +11,7 @@ rule, counting every edge's queue afresh from a plain list of departures;
 `replay_enumerate` branches that rule over every tied edge instead.
 `table_enumerate` finds every equilibrium from one int64 arrival table over
 all num_paths**n states, without the ordering argument the library uses.
+`non_decreasing` tells whether the arrivals at a node are in player order.
 `naive_check_flow` is the flow feasibility check with the conservation loop
 the library shipped before its sweep: at every critical time it integrates
 each edge's rate from time 0 again.
@@ -22,7 +23,8 @@ import random
 from array import array
 from collections import deque
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
+from operator import le
 
 import numpy as np
 
@@ -41,6 +43,12 @@ from fiforoute import (
     cumulative_flow,
     flow_value,
 )
+
+
+def non_decreasing(values) -> bool:
+    """Whether values never fall from one index to the next. For the arrivals
+    at a node this means the FIFO order (arrival, player index) is index order."""
+    return all(map(le, values, islice(values, 1, None)))
 
 
 def naive_load(game: Game, state: State):

@@ -36,7 +36,7 @@ from fiforoute import (
 )
 from fiforoute import equilibria
 from conftest import random_capacitated_game, random_deep_game, random_game, random_pattern, random_state
-from reference import reload_check, replay_construct, replay_enumerate, table_enumerate
+from reference import non_decreasing, reload_check, replay_construct, replay_enumerate, table_enumerate
 
 
 def test_policy_names_round_trip():
@@ -299,6 +299,42 @@ def test_check_matches_reload_oracle_on_corpus(corpus, step, request):
     for game in request.getfixturevalue(corpus)[::step]:
         for state in (sequential_equilibrium(game), random_state(rng, game)):
             assert is_ufr_equilibrium(game, state) == reload_check(game, state), (game, state)
+
+
+def test_check_matches_reload_oracle_on_unordered_moves():
+    # greedy states with one player moved, on unit and capacitated deep games with
+    # and without patterns, kept when the load is out of player order and the
+    # replay's first miss is after player 1: the witness is that player's
+    rng = random.Random(21)
+    kept = tried = 0
+    while kept < 150:
+        tried += 1
+        game = random_deep_game(rng, 10, tried % 2 == 1, tried % 4 >= 2)
+        paths = list(sequential_equilibrium(game).paths)
+        paths[rng.randrange(game.n)] = rng.choice(all_paths(game.graph))
+        state = State(tuple(paths))
+        first = equilibria._walk(game, state)[0]
+        if not 0 < first < game.n or all(map(non_decreasing, load(game, state).arrivals)):
+            continue
+        w = is_ufr_equilibrium(game, state)
+        assert w == reload_check(game, state), (game, state)
+        assert w.player == first + 1, (game, state)
+        kept += 1
+    assert tried < 1000
+
+
+def test_check_wall_clock_gate():
+    # a player late in a 600-player greedy state moved to the slowest path: the
+    # witness is found by sweeping the first player that misses, not every
+    # player before it (about 11 s), in well under a second on a 2-core box
+    game = Game(LinearMultigraph.from_transits([[1, 1, 2, 3], [1, 2, 2, 5], [1, 3, 4, 4]]), 600)
+    paths = list(sequential_equilibrium(game).paths)
+    paths[590] = PathChoice((4, 4, 4))
+    t0 = time.perf_counter()
+    w = is_ufr_equilibrium(game, State(tuple(paths)))
+    elapsed = time.perf_counter() - t0
+    assert w == UfrWitness(593, 1, PathChoice((2, 1, 1)), 149)
+    assert elapsed < 1.0, f"check took {elapsed:.3f} s"
 
 
 @pytest.mark.parametrize("corpus, step", [("cap_corpus", 2), ("fuzz_corpus", 8)])

@@ -32,9 +32,17 @@ from fiforoute import (
     workload,
 )
 from fiforoute import loading
-from fiforoute.loading import arrival_sweep, non_decreasing
+from fiforoute.loading import arrival_sweep
 from conftest import random_capacitated_game, random_deep_game, random_game, random_pattern, random_state
-from reference import HeapLoading, heap_load, naive_load, reload_check, replay_construct, table_enumerate
+from reference import (
+    HeapLoading,
+    heap_load,
+    naive_load,
+    non_decreasing,
+    reload_check,
+    replay_construct,
+    table_enumerate,
+)
 
 LOADING_FIELDS = [f.name for f in fields(HeapLoading)]
 
@@ -453,6 +461,16 @@ def test_load_rejects_a_state_that_is_not_a_state():
             with pytest.raises(LoadingError) as err:
                 check(game, state)
             assert str(err.value) == f"state does not fit game: {state!r} is not a State"
+
+
+def test_load_rejects_state_paths_that_are_not_a_sequence():
+    # used to raise TypeError from validate_state, which read state.n first
+    game = Game(LinearMultigraph.from_transits([[1, 2], [2]]), 2)
+    for check in (load, is_ufr_equilibrium):
+        for paths in (None, 5):
+            with pytest.raises(LoadingError) as err:
+                check(game, State(paths))
+            assert str(err.value) == f"state does not fit game: {paths!r} is not a sequence of paths"
 
 
 def test_workload_counts_only_present_players():

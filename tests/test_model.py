@@ -65,6 +65,20 @@ def test_from_transits_names_a_layer_whose_transits_do_not_compare():
         Game(LinearMultigraph.from_transits([[2.5, 1]]), 1)
 
 
+def test_from_transits_rejects_rows_that_are_not_sequences():
+    # used to raise TypeError from len or enumerate
+    cases = [
+        (([[1], 5],), "layer 2: transits must be a list"),
+        (([[1]], [5]), "layer 1: capacities must be a list as long as its transits"),
+        (([[1], [1, 2]], [[1], [1]]), "layer 2: capacities must be a list as long as its transits"),
+        ((5,), "transits must be a sequence of per-layer lists"),
+        (([[1]], 5), "capacities must have one list per layer"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ModelError, match=rf"^{message}$"):
+            LinearMultigraph.from_transits(*args)
+
+
 def test_edge_lookup_rejects_out_of_range():
     g = LinearMultigraph.from_transits([[1, 2]])
     with pytest.raises(ModelError, match="no such edge"):
