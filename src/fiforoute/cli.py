@@ -219,6 +219,9 @@ def cmd_flow(args: argparse.Namespace) -> int:
 
 def cmd_split(args: argparse.Namespace) -> int:
     game = load_game_file(args.game)
+    edges = sum(map(sum, game.graph.capacities))  # one unit copy per unit of capacity
+    if edges > SIMULATION_CAP:
+        raise FifoRouteError(f"the split game would have {edges} edges, over the simulation cap {SIMULATION_CAP}")
     split_game, mapping = split_capacities(game)
     report = {
         "game": game_to_dict(split_game),

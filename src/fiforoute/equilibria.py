@@ -5,11 +5,12 @@ import random
 from bisect import bisect_left, insort
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import accumulate, groupby, repeat
+from itertools import accumulate, groupby, product, repeat
 from typing import Union
 
-from .loading import arrival_sweep, check_times_fit_int64, load
-# validate_game is unused here; perfbench's span self-test reads equilibria.validate_game
+# load and validate_game are unused here; perfbench's span self-test reads
+# equilibria.load and equilibria.validate_game
+from .loading import arrival_sweep, check_profile, check_times_fit_int64, load
 from .model import FifoRouteError, Game, PathChoice, State, all_paths, validate_game
 
 
@@ -368,7 +369,8 @@ def _walk(game: Game, settle: TieBreakPolicy | State) -> tuple[int, list[int]]:
     the rule of arrival_sweep a newcomer queues behind the lower-index
     entrants, so ready_e is h[-c] + 1 for the list h of their head times at
     e, which starts with c zeros that never bind, as every head time is at
-    least 1. Layers ascend in transit, so the scan stops at the first edge
+    least 1; a capacity c >= n is taken as n, since no entrant has n others
+    ahead of it. Layers ascend in transit, so the scan stops at the first edge
     whose transit alone is too slow. `settle` decides ties:
     - a policy takes one tied edge. On a layer of unit edges a tied edge's
       queue is H - t - tau_e, so greedy-queue keeps the first and
@@ -376,14 +378,18 @@ def _walk(game: Game, settle: TieBreakPolicy | State) -> tuple[int, list[int]]:
       count the entrants that reach e's head at t + tau_e or later.
     - a State takes the profile's own edge and stops at the first player
       whose edge's head arrival is later than the least, returning its index.
+    The seeded policy's generator is made at its first tie of two or more
+    edges, so a walk without one never seeds it; the draws are the same.
     Each step asserts that the player reaches the layer's head no earlier
     than the latest head arrival there, the previous player's.
     """
     kind = settle.kind if isinstance(settle, TieBreakPolicy) else None
-    rng = random.Random(settle.seed) if kind == "seeded" else None
+    rng = None  # seeded: made at the first tie of two or more edges
     layers = []
     for taus, caps in zip(game.graph.transits, game.graph.capacities):
         wide = max(caps) > 1
+        if wide:  # a capacity c >= n acts as n
+            caps = [min(c, game.n) for c in caps]
         hits = [[0] * c for c in caps] if wide else None  # wide layers: ready times, queue counts
         rule = _RULES[kind][wide] if kind else _FIRST
         layers.append((taus, range(1, len(taus)), caps, [0] * len(taus), hits, rule))
@@ -422,7 +428,9 @@ def _walk(game: Game, settle: TieBreakPolicy | State) -> tuple[int, list[int]]:
                 best = settle.paths[i].edge_indices[j] - 1
                 if max(t + taus[best], ready[best]) > best_h:
                     return i, choice
-            elif rng is not None and len(tied) > 1:
+            elif tied is not None and len(tied) > 1:
+                if rng is None:
+                    rng = random.Random(settle.seed)
                 best = tied[rng.randrange(len(tied))]
 
             if hits is None:
@@ -446,7 +454,8 @@ def is_ufr_equilibrium(
 ) -> Union[bool, UfrWitness]:
     """Exact deviation check: True, or the first witness in (player, path, node) order.
 
-    The base load validates the state; the game is valid since it was built.
+    The state is validated as load validates it (check_profile); the game is
+    valid since it was built. Nothing is loaded before the verdict is known.
     The constructor's walk replays the profile's own edges, each player
     queueing behind the lower-index ones only, and stops at the first player
     p whose edge is not one of least head arrival on some layer. Then:
@@ -463,9 +472,10 @@ def is_ufr_equilibrium(
         puts only lower-index players ahead of it, so that layer's edge of
         least head arrival takes it to the layer's node strictly earlier.
     So the verdict is True exactly when the replay passes every player, and
-    otherwise the first witness is player p's: its alternative paths are
-    swept (arrival_sweep) in order, and the first strictly earlier arrival
-    is the witness.
+    otherwise the first witness is player p's: the profile is swept once
+    (arrival_sweep), then p's alternative paths one at a time in all_paths
+    order, each built only when its turn comes, and the first strictly
+    earlier arrival is the witness.
     """
     if type(path_budget) is not int or path_budget < 1:
         raise BudgetError(f"path budget must be an integer >= 1, not {path_budget!r}")
@@ -473,16 +483,17 @@ def is_ufr_equilibrium(
         raise BudgetError(
             f"instance too large for exact check: over the path budget of {path_budget} paths per player"
         )
-    base = load(game, state).arrivals
+    check_profile(game, state)
     i = _walk(game, state)[0]
     if i == game.n:
         return True
-    own = state.paths[i]
+    base = arrival_sweep(game, state.paths)
+    own = state.paths[i].edge_indices
     paths = list(state.paths)
-    for alt in all_paths(game.graph):
-        if alt == own:
+    for indices in product(*[range(1, size + 1) for size in game.graph.layer_sizes]):  # all_paths order
+        if indices == own:
             continue
-        paths[i] = alt
+        paths[i] = alt = PathChoice(indices)
         arrivals = arrival_sweep(game, paths)
         for j in range(1, game.graph.num_layers + 1):
             if arrivals[j][i] < base[j][i]:
@@ -521,6 +532,7 @@ def enumerate_equilibria(game: Game, state_budget: int = DEFAULT_STATE_BUDGET) -
     weight = len(paths)  # of an edge in the index of a path in all_paths
     for taus, caps in zip(game.graph.transits, game.graph.capacities):
         weight //= len(taus)
+        caps = [min(c, game.n) for c in caps]  # a capacity c >= n acts as n, as in _walk
         layers.append((taus, range(1, len(taus)), caps, list(accumulate(caps[:-1], initial=size)), weight))
         size += sum(caps)
     states = [[0] * (size + m)]

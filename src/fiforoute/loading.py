@@ -176,6 +176,15 @@ def check_times_fit_int64(game: Game) -> None:
         raise LoadingError(f"times may reach {bound}, beyond the 2**62 limit of int64 time tables")
 
 
+def check_profile(game: Game, state: State) -> None:
+    """Raise LoadingError unless the game's times fit int64 and the profile
+    fits the game, as load requires before it sweeps."""
+    check_times_fit_int64(game)
+    bad = validate_state(game, state)
+    if bad:
+        raise LoadingError("state does not fit game: " + "; ".join(bad))
+
+
 def arrival_sweep(game: Game, paths: Sequence[PathChoice]) -> tuple[tuple[int, ...], ...]:
     """Arrival times of a valid profile, one network layer at a time.
 
@@ -201,7 +210,9 @@ def arrival_sweep(game: Game, paths: Sequence[PathChoice]) -> tuple[tuple[int, .
     or a unit layer with an entrant that fails the check, is swept in
     (arrival, index) order instead. There each edge keeps its head times in
     a list that starts with `capacity` zeros, so h_{q-c} is always the c-th
-    last entry; the zeros never bind, as every head time is at least 1.
+    last entry; the zeros never bind, as every head time is at least 1. A
+    capacity c >= n is padded as n: no entrant has n others ahead of it, so
+    h_{q-c} never exists and the n-th last entry is always a zero.
 
     Returns arrivals[j][i], the time player i reaches node v_j. Nothing is
     validated: callers pass a valid game and one valid path per player.
@@ -229,7 +240,7 @@ def arrival_sweep(game: Game, paths: Sequence[PathChoice]) -> tuple[tuple[int, .
                 append(h)
         if len(nxt) < n:  # a wider edge, or an edge that saw its entrants out of order
             back = [-1]  # minus each capacity: hs[back[e]] is the head time c entrants back
-            back += [-c for c in caps]
+            back += [-min(c, n) for c in caps]
             heads = [[0] * -k for k in back]
             col = list(map(itemgetter(j), rows))
             nxt = [0] * n
@@ -255,10 +266,7 @@ def load(game: Game, state: State) -> LoadingResult:
     The result stores the arrivals; edge logs, queues and traces are derived
     from them on first read.
     """
-    check_times_fit_int64(game)
-    bad = validate_state(game, state)
-    if bad:
-        raise LoadingError("state does not fit game: " + "; ".join(bad))
+    check_profile(game, state)
     arrivals = arrival_sweep(game, state.paths)
     return LoadingResult(game, state, arrivals, completions=arrivals[-1], makespan=max(arrivals[-1]))
 

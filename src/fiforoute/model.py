@@ -44,8 +44,9 @@ class LinearMultigraph:
     reports can refer back to the caller's ordering. The kernels read the
     layers as tables: `transits[j-1][i-1]` and `capacities[j-1][i-1]` are the
     transit and capacity of edge i of layer j, one tuple per layer in sorted
-    order, and `unit_capacity` says whether every capacity is 1. All three
-    are computed when the graph is built, so every pickle of it holds them.
+    order, `layer_sizes[j-1]` is the number of edges of layer j, and
+    `unit_capacity` says whether every capacity is 1. All four are computed
+    when the graph is built, so every pickle of it holds them.
     """
 
     layers: tuple[tuple[Edge, ...], ...]
@@ -53,6 +54,7 @@ class LinearMultigraph:
     unit_capacity: bool = field(init=False, repr=False, compare=False)
     transits: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     capacities: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    layer_sizes: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.input_order:
@@ -61,6 +63,7 @@ class LinearMultigraph:
         capacities = tuple([tuple([e.capacity for e in layer]) for layer in self.layers])
         object.__setattr__(self, "transits", tuple([tuple([e.transit for e in layer]) for layer in self.layers]))
         object.__setattr__(self, "capacities", capacities)
+        object.__setattr__(self, "layer_sizes", tuple(map(len, self.layers)))
         # count compares with ==, which no capacity makes raise; a set cannot hold a list
         object.__setattr__(self, "unit_capacity", all(row.count(1) == len(row) for row in capacities))
 
@@ -101,10 +104,6 @@ class LinearMultigraph:
     @property
     def num_layers(self) -> int:
         return len(self.layers)
-
-    @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return tuple(len(layer) for layer in self.layers)
 
     def edge(self, layer: int, index: int) -> Edge:
         """Return the edge at 1-based (layer, index); raises on bad indices."""

@@ -129,6 +129,26 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, game, state, message
     assert err.startswith("error:") and message in err
 
 
+@pytest.mark.parametrize("capacity", [2**70, 10**15], ids=["2**70", "10**15"])
+def test_huge_capacities_give_the_results_of_capacity_n(tmp_path, capsys, capacity):
+    # n = 2: a capacity of 2 or more serves both players at once, so every
+    # command answers as for capacity 2; split, which builds one unit copy per
+    # unit of capacity, is refused
+    s = tmp_path / "state.json"
+    s.write_text(json.dumps({"paths": [[2], [2]]}))
+    results = {}
+    for c in (2, capacity):
+        g = tmp_path / f"game{c}.json"
+        g.write_text(json.dumps({"layers": [[1, 2]], "n": 2, "capacities": [[1, c]]}))
+        commands = (["load", g, s], ["eq", g], ["enumerate", g], ["check-ufr", g, s], ["flow", g, s], ["poa", g])
+        results[c] = [run(capsys, *map(str, argv)) for argv in commands]
+    assert results[capacity] == results[2]
+    assert [code for code, _, _ in results[2]] == [0, 0, 0, 1, 0, 2]
+    code, out, err = run(capsys, "split", str(tmp_path / f"game{capacity}.json"), str(s))
+    assert (code, out) == (2, "")
+    assert err == f"error: the split game would have {capacity + 1} edges, over the simulation cap 1000000\n"
+
+
 UNREADABLE = [
     b'{"layers": [[1, 2], [2]], "n": 3, "note": "\xff"}',
     b"[" * 100_000 + b"]" * 100_000,

@@ -17,6 +17,7 @@ from fiforoute import (
     SHORTEST_QUEUE,
     BudgetError,
     ConstructionError,
+    Edge,
     FifoRouteError,
     Game,
     LinearMultigraph,
@@ -335,6 +336,70 @@ def test_check_wall_clock_gate():
     elapsed = time.perf_counter() - t0
     assert w == UfrWitness(593, 1, PathChoice((2, 1, 1)), 149)
     assert elapsed < 1.0, f"check took {elapsed:.3f} s"
+
+
+def test_true_verdicts_load_and_sweep_nothing(monkeypatch, fuzz_corpus, cap_corpus):
+    # the replay alone decides a True verdict: no load, no arrival sweep
+    games = [*fuzz_corpus, *cap_corpus, gen_lower_bound_game(2)]
+    states = [sequential_equilibrium(game) for game in games]
+
+    def refuse(*args):
+        raise AssertionError("a True verdict loaded the profile")
+
+    monkeypatch.setattr(equilibria, "load", refuse)
+    monkeypatch.setattr(equilibria, "arrival_sweep", refuse)
+    for game, state in zip(games, states):
+        assert is_ufr_equilibrium(game, state) is True, game
+
+
+def test_seeded_walk_seeds_its_generator_at_the_first_tie(monkeypatch):
+    made = []
+
+    class Counting(random.Random):
+        def __init__(self, seed):
+            made.append(seed)
+            super().__init__(seed)
+
+    monkeypatch.setattr(equilibria, "random", type("Module", (), {"Random": Counting}))
+    # distinct transits on every layer: no tie, so no generator
+    free = Game(LinearMultigraph.from_transits([[1, 5], [2]]), 4)
+    assert sequential_equilibrium(free, seeded(3)) == replay_construct(free, seeded(3))
+    assert made == []
+    tied = Game(LinearMultigraph.from_transits([[1, 1, 1], [2, 2]]), 7)
+    assert sequential_equilibrium(tied, seeded(3)) == replay_construct(tied, seeded(3))
+    assert made == [3]
+
+
+def _capacities_at_least_n(game: Game, capacity: int) -> Game:
+    """The game with every capacity of n or more set to `capacity`."""
+    layers = tuple(
+        tuple(Edge(e.layer, e.index_in_layer, e.transit, capacity if e.capacity >= game.n else e.capacity)
+              for e in layer)
+        for layer in game.graph.layers
+    )
+    return Game(LinearMultigraph(layers), game.n, game.starting_pattern)
+
+
+@pytest.mark.parametrize("capacity", [2**70, 10**15], ids=["2**70", "10**15"])
+def test_capacities_of_n_or_more_act_as_n(capacity):
+    # every kernel pads an edge by min(capacity, n): a huge capacity neither
+    # allocates its padding nor changes any arrival, state, verdict or equilibrium
+    rng = random.Random(70)
+    seen = 0
+    for _ in range(300):
+        game = random_capacitated_game(rng)
+        huge = _capacities_at_least_n(game, capacity)
+        if huge == game:  # no capacity of n or more
+            continue
+        seen += 1
+        state = random_state(rng, game)
+        assert load(huge, state).arrivals == load(game, state).arrivals
+        assert is_ufr_equilibrium(huge, state) == is_ufr_equilibrium(game, state)
+        for policy in (GREEDY_QUEUE, LOWEST_INDEX, SHORTEST_QUEUE, seeded(11)):
+            assert sequential_equilibrium(huge, policy) == sequential_equilibrium(game, policy), policy
+        if game.num_paths() ** game.n <= 10_000:
+            assert enumerate_equilibria(huge) == enumerate_equilibria(game)
+    assert seen > 100
 
 
 @pytest.mark.parametrize("corpus, step", [("cap_corpus", 2), ("fuzz_corpus", 8)])

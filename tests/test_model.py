@@ -402,15 +402,17 @@ def test_transit_and_capacity_tables_are_fields_computed_when_the_graph_is_built
     for g in (unsorted, direct):
         assert g.transits == ((1, 2, 3), (5,))
         assert g.capacities == ((2, 3, 1), (4,))
+        assert g.layer_sizes == (3, 1) and type(g.layer_sizes) is tuple
         assert g.transits == tuple(tuple(e.transit for e in layer) for layer in g.layers)
         assert g.capacities == tuple(tuple(e.capacity for e in layer) for layer in g.layers)
         # tuples all the way down, so no kernel can change them between calls
         assert all(type(row) is tuple for table in (g.transits, g.capacities) for row in (table, *table))
     # not in the repr, and no part of == or hash
-    assert "transits" not in repr(direct) and "capacities" not in repr(direct)
+    assert "transits" not in repr(direct) and "capacities" not in repr(direct) and "layer_sizes" not in repr(direct)
     other = LinearMultigraph(direct.layers)
     object.__setattr__(other, "transits", ())
     object.__setattr__(other, "capacities", ())
+    object.__setattr__(other, "layer_sizes", ())
     assert other == direct and hash(other) == hash(direct)
     # in the pickle whether or not they were read, and whole after unpickling
     untouched = pickle.dumps(LinearMultigraph(unsorted.layers, unsorted.input_order))
@@ -418,6 +420,7 @@ def test_transit_and_capacity_tables_are_fields_computed_when_the_graph_is_built
     assert pickle.dumps(unsorted) == untouched
     back = pickle.loads(untouched)
     assert (back.transits, back.capacities) == (((1, 2, 3), (5,)), ((2, 3, 1), (4,)))
+    assert back.layer_sizes == (3, 1)
     assert back.unit_capacity is False
 
 
