@@ -3,8 +3,9 @@ from __future__ import annotations
 
 from itertools import accumulate
 
+from .instances import SIMULATION_CAP
 from .loading import LoadingResult
-from .model import Edge, FifoRouteError, Game, LinearMultigraph, PathChoice, State
+from .model import Edge, FifoRouteError, Game, LinearMultigraph, ModelError, PathChoice, State
 
 EdgeMapping = dict[tuple[int, int], tuple[int, ...]]
 
@@ -12,10 +13,13 @@ EdgeMapping = dict[tuple[int, int], tuple[int, ...]]
 def split_capacities(game: Game) -> tuple[Game, EdgeMapping]:
     """Replace every capacity-v edge by v unit-capacity copies of equal transit.
 
-    Returns the unit-capacity game plus a mapping from each original
-    (layer, index) to the 1-based indices of its copies in the new layer.
-    Copies of one edge are adjacent and the layer stays transit-sorted.
+    Returns the split game and a mapping from each original (layer, index)
+    to the 1-based indices of its adjacent copies; each layer stays sorted.
+    Over SIMULATION_CAP copies in all raise ModelError before any is built.
     """
+    edges = sum(map(sum, game.graph.capacities))
+    if edges > SIMULATION_CAP:
+        raise ModelError(f"the split game would have {edges} edges, over the simulation cap {SIMULATION_CAP}")
     mapping: EdgeMapping = {}
     layers = []
     for j, (transits, caps) in enumerate(zip(game.graph.transits, game.graph.capacities), start=1):

@@ -365,13 +365,12 @@ def _walk(game: Game, settle: TieBreakPolicy | State) -> tuple[int, list[int]]:
     least head arrival; returns how many players it passed and the 1-based
     edge of each step, player by player.
 
-    From tail time t, edge e's head arrival is max(t + tau_e, ready_e): by
-    the rule of arrival_sweep a newcomer queues behind the lower-index
-    entrants, so ready_e is h[-c] + 1 for the list h of their head times at
-    e, which starts with c zeros that never bind, as every head time is at
-    least 1; a capacity c >= n is taken as n, since no entrant has n others
-    ahead of it. Layers ascend in transit, so the scan stops at the first edge
-    whose transit alone is too slow. `settle` decides ties:
+    From tail time t, edge e's head arrival is max(t + tau_e, ready_e): a
+    newcomer queues behind the lower-index entrants (arrival_sweep's rule),
+    so on a wide layer ready_e is h[-c] + 1 for their head times h at e,
+    listed after c zeros that never bind, c from the game's padded_capacities.
+    Layers ascend in transit, so the scan stops at the first edge whose
+    transit alone is too slow. `settle` decides ties:
     - a policy takes one tied edge. On a layer of unit edges a tied edge's
       queue is H - t - tau_e, so greedy-queue keeps the first and
       shortest-queue the one of largest transit; on other layers both
@@ -386,12 +385,9 @@ def _walk(game: Game, settle: TieBreakPolicy | State) -> tuple[int, list[int]]:
     kind = settle.kind if isinstance(settle, TieBreakPolicy) else None
     rng = None  # seeded: made at the first tie of two or more edges
     layers = []
-    for taus, caps in zip(game.graph.transits, game.graph.capacities):
-        wide = max(caps) > 1
-        if wide:  # a capacity c >= n acts as n
-            caps = [min(c, game.n) for c in caps]
-        hits = [[0] * c for c in caps] if wide else None  # wide layers: ready times, queue counts
-        rule = _RULES[kind][wide] if kind else _FIRST
+    for taus, caps in zip(game.graph.transits, game.padded_capacities):
+        hits = None if caps is None else [[0] * c for c in caps]  # wide layers: ready times, queue counts
+        rule = _RULES[kind][caps is not None] if kind else _FIRST
         layers.append((taus, range(1, len(taus)), caps, [0] * len(taus), hits, rule))
 
     front = [0] * game.graph.num_layers  # each layer's latest head arrival
@@ -508,12 +504,13 @@ def enumerate_equilibria(game: Game, state_budget: int = DEFAULT_STATE_BUDGET) -
     the equilibria are the ordered profiles in which every player enters an
     edge of least head arrival on every layer (see is_ufr_equilibrium), and
     a player's moves depend only on the state the lower-index ones leave:
-    per edge, their last `capacity` head arrivals. A forward pass lists each
-    player's moves from each distinct state, depth first over the tied edges
-    as _walk scans them: a path and the state it leaves. Equal states merge,
-    so each subgame is solved once, and each profile prefix grows by its
-    state's moves in order. The budget, an int >= 1, counts all num_paths**n
-    profiles; a game whose times could exceed int64 raises LoadingError.
+    per edge, their last c head arrivals, c from the game's padded_capacities
+    (1 on a unit layer). A forward pass lists each player's moves from each
+    distinct state, depth first over the tied edges as _walk scans them: a
+    path and the state it leaves. Equal states merge, so each subgame is
+    solved once, and each profile prefix grows by its state's moves in
+    order. The budget, an int >= 1, counts all num_paths**n profiles; a game
+    whose times could exceed int64 raises LoadingError.
     """
     if type(state_budget) is not int or state_budget < 1:
         raise BudgetError(f"state budget must be an integer >= 1, not {state_budget!r}")
@@ -526,13 +523,13 @@ def enumerate_equilibria(game: Game, state_budget: int = DEFAULT_STATE_BUDGET) -
 
     m = game.graph.num_layers
     paths = all_paths(game.graph)
-    # a state: each edge's last `capacity` head arrivals plus one, oldest first, then each layer's latest head
+    # a state: each edge's last c head arrivals plus one, oldest first, then each layer's latest head
     layers = []
     size = 0
     weight = len(paths)  # of an edge in the index of a path in all_paths
-    for taus, caps in zip(game.graph.transits, game.graph.capacities):
+    for taus, caps in zip(game.graph.transits, game.padded_capacities):
         weight //= len(taus)
-        caps = [min(c, game.n) for c in caps]  # a capacity c >= n acts as n, as in _walk
+        caps = caps or (1,) * len(taus)
         layers.append((taus, range(1, len(taus)), caps, list(accumulate(caps[:-1], initial=size)), weight))
         size += sum(caps)
     states = [[0] * (size + m)]

@@ -163,12 +163,10 @@ def lower_bound_row(i: int, mode: str = "simulate", cap: int = SIMULATION_CAP) -
     simulate builds the greedy-queue equilibrium and loads it (player count
     capped), analytic takes the closed form; the optimum is min_horizon."""
     params = LowerBoundParams.for_index(i)
+    if mode == "simulate" and params.n > cap:  # before building k - i layers of k edges
+        raise InstanceError(f"n = {params.n} exceeds the simulation cap {cap}; use analytic mode")
     game = gen_lower_bound_game(i)
     if mode == "simulate":
-        if params.n > cap:
-            raise InstanceError(
-                f"n = {params.n} exceeds the simulation cap {cap}; use analytic mode"
-            )
         state = sequential_equilibrium(game)
         eq_makespan, source = max(arrival_sweep(game, state.paths)[-1]), "sim"
     elif mode == "analytic":

@@ -208,11 +208,9 @@ def arrival_sweep(game: Game, paths: Sequence[PathChoice]) -> tuple[tuple[int, .
     equilibria of sequential_equilibrium and the optimal profiles of
     optimal_state pass the check on every layer. A layer with a wider edge,
     or a unit layer with an entrant that fails the check, is swept in
-    (arrival, index) order instead. There each edge keeps its head times in
-    a list that starts with `capacity` zeros, so h_{q-c} is always the c-th
-    last entry; the zeros never bind, as every head time is at least 1. A
-    capacity c >= n is padded as n: no entrant has n others ahead of it, so
-    h_{q-c} never exists and the n-th last entry is always a zero.
+    (arrival, index) order instead. There each edge's head times follow c
+    zeros (c from padded_capacities, 1 on a unit layer), so h_{q-c} is the
+    c-th last entry; the zeros never bind, as every head time is >= 1.
 
     Returns arrivals[j][i], the time player i reaches node v_j. Nothing is
     validated: callers pass a valid game and one valid path per player.
@@ -221,11 +219,10 @@ def arrival_sweep(game: Game, paths: Sequence[PathChoice]) -> tuple[tuple[int, .
     arr = game.start_times()
     arrivals = [arr]
     rows = [p.edge_indices for p in paths]
-    unit = game.graph.unit_capacity
-    for j, (transits, caps) in enumerate(zip(game.graph.transits, game.graph.capacities)):
+    for j, (transits, caps) in enumerate(zip(game.graph.transits, game.padded_capacities)):
         tau = (0, *transits)  # indexed by the 1-based edge indices
         nxt = []
-        if unit or max(caps) == 1:
+        if caps is None:  # a layer of unit edges
             ready = [0] * len(tau)
             last = [0] * len(tau)  # each edge's latest tail arrival; starts are >= 0
             append = nxt.append
@@ -239,8 +236,7 @@ def arrival_sweep(game: Game, paths: Sequence[PathChoice]) -> tuple[tuple[int, .
                 ready[e] = h + 1
                 append(h)
         if len(nxt) < n:  # a wider edge, or an edge that saw its entrants out of order
-            back = [-1]  # minus each capacity: hs[back[e]] is the head time c entrants back
-            back += [-min(c, n) for c in caps]
+            back = [-1] * len(tau) if caps is None else [-1, *[-c for c in caps]]  # hs[back[e]]: c entrants back
             heads = [[0] * -k for k in back]
             col = list(map(itemgetter(j), rows))
             nxt = [0] * n

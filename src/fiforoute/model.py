@@ -147,12 +147,17 @@ class Game:
     player index; None means everyone starts at time 0 (kept symbolic so that
     games with astronomically many players stay representable). A game checks
     itself when built: it stores the pattern as a tuple and raises ModelError
-    with every problem validate_game finds, so every Game is valid.
+    with every problem validate_game finds, so every Game is valid. Then it
+    computes `padded_capacities`, kept out of repr, == and hash: per layer,
+    None if every capacity is 1, else min(c, n) per capacity c in edge order.
+    The kernels pad wide layers by it, since an edge releases its first c
+    queued players per step and no entrant has n others ahead of it.
     """
 
     graph: LinearMultigraph
     n: int
     starting_pattern: tuple[int, ...] | None = None
+    padded_capacities: tuple[tuple[int, ...] | None, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if isinstance(self.starting_pattern, Sequence):  # a list could change after the check
@@ -160,6 +165,9 @@ class Game:
         problems = validate_game(self)
         if problems:
             raise ModelError("invalid game: " + "; ".join(problems))
+        caps = self.graph.capacities
+        pads = [None if row.count(1) == len(row) else tuple([min(c, self.n) for c in row]) for row in caps]
+        object.__setattr__(self, "padded_capacities", tuple(pads))
 
     def start_time(self, player: int) -> int:
         """Release time of a 0-based player index."""

@@ -8,6 +8,7 @@ from fiforoute import (
     FifoRouteError,
     Game,
     LinearMultigraph,
+    ModelError,
     PathChoice,
     State,
     load,
@@ -15,6 +16,7 @@ from fiforoute import (
     split_capacities,
 )
 
+from fiforoute import capacity
 from conftest import random_capacitated_game, random_state
 
 
@@ -101,3 +103,20 @@ def test_split_preserves_arrivals_on_random_games():
         assert split_result.arrivals == result.arrivals
         assert split_result.completions == result.completions
         assert split_result.makespan == result.makespan
+
+
+def test_split_refuses_more_edges_than_the_simulation_cap(monkeypatch):
+    # the library call, not only the CLI, refuses before it builds a copy;
+    # a capacity of 2**70 used to raise OverflowError from the copy list
+    huge = Game(LinearMultigraph.from_transits([[1, 2]], [[1, 2**70]]), 2)
+    with pytest.raises(ModelError) as err:
+        split_capacities(huge)
+    assert str(err.value) == f"the split game would have {2**70 + 1} edges, over the simulation cap 1000000"
+    # the bound itself: a split of exactly the cap is built, one more edge is not
+    monkeypatch.setattr(capacity, "SIMULATION_CAP", 6)
+    at_cap = Game(LinearMultigraph.from_transits([[1, 2], [3]], [[2, 3], [1]]), 2)
+    split, _ = split_capacities(at_cap)
+    assert split.graph.layer_sizes == (5, 1)
+    over = Game(LinearMultigraph.from_transits([[1, 2], [3]], [[2, 3], [2]]), 2)
+    with pytest.raises(ModelError, match=r"^the split game would have 7 edges, over the simulation cap 6$"):
+        split_capacities(over)

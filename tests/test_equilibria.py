@@ -37,7 +37,7 @@ from fiforoute import (
 )
 from fiforoute import equilibria
 from conftest import random_capacitated_game, random_deep_game, random_game, random_pattern, random_state
-from reference import non_decreasing, reload_check, replay_construct, replay_enumerate, table_enumerate
+from reference import naive_load, non_decreasing, reload_check, replay_construct, replay_enumerate, table_enumerate
 
 
 def test_policy_names_round_trip():
@@ -400,6 +400,41 @@ def test_capacities_of_n_or_more_act_as_n(capacity):
         if game.num_paths() ** game.n <= 10_000:
             assert enumerate_equilibria(huge) == enumerate_equilibria(game)
     assert seen > 100
+
+
+def test_capacities_around_n_match_the_unpadded_oracles():
+    # capacities n - 1, n and n + 1, and n = 1 with capacity 2, against
+    # oracles that keep every capacity as it is: a padding bound one too low
+    # makes the n-th entrant of a capacity-n edge wait
+    rng = random.Random(0xC0DE)
+    games = [
+        Game(LinearMultigraph.from_transits([[1, 2]], [[2, 1]]), 1),
+        Game(LinearMultigraph.from_transits([[1], [1, 1]], [[2], [1, 2]]), 1, (3,)),
+    ]
+    while len(games) < 160:
+        n = rng.randint(2, 5)
+        layers = [sorted(rng.randint(1, 2) for _ in range(rng.randint(1, 2))) for _ in range(rng.randint(1, 3))]
+        caps = [[rng.choice((1, n - 1, n, n + 1)) for _ in layer] for layer in layers]
+        pattern = random_pattern(rng, n, 2) if rng.random() < 0.3 else None
+        games.append(Game(LinearMultigraph.from_transits(layers, caps), n, pattern))
+    full_queues = 0  # profiles that put all n players into one capacity-n edge at once
+    enumerated = 0
+    for game in games:
+        greedy = sequential_equilibrium(game)
+        for state in (greedy, random_state(rng, game), random_state(rng, game)):
+            result = load(game, state)
+            assert result.arrivals == naive_load(game, state)[0], (game, state)
+            assert is_ufr_equilibrium(game, state) == reload_check(game, state), (game, state)
+            full_queues += any(
+                len(log) == game.n == game.graph.edge(*key).capacity and len(set(log.entries)) == 1
+                for key, log in result.edge_logs.items()
+            )
+        for policy in (GREEDY_QUEUE, LOWEST_INDEX, SHORTEST_QUEUE, seeded(5)):
+            assert sequential_equilibrium(game, policy) == replay_construct(game, policy), (game, policy)
+        if game.num_paths() ** game.n <= 2_000:
+            assert enumerate_equilibria(game) == replay_enumerate(game), game
+            enumerated += 1
+    assert full_queues > 40 and enumerated > 120
 
 
 @pytest.mark.parametrize("corpus, step", [("cap_corpus", 2), ("fuzz_corpus", 8)])

@@ -21,6 +21,7 @@ from fiforoute import (
     sequential_equilibrium,
     special_edge_indices,
 )
+from fiforoute import instances
 
 
 def test_params_first_three_indices():
@@ -117,6 +118,19 @@ def test_pos_ratio_guards():
         pos_ratio(1, mode="exact")
     with pytest.raises(InstanceError, match="use analytic mode"):
         pos_ratio(2, cap=100)
+
+
+def test_lower_bound_row_refuses_over_the_cap_before_building_the_game(monkeypatch):
+    # game i = 300 would have 516 layers of 816 edges; the refusal needs only n
+    def unbuilt(i):
+        raise AssertionError(f"game {i} built")
+
+    monkeypatch.setattr(instances, "gen_lower_bound_game", unbuilt)
+    for i, cap in ((2, 100), (300, instances.SIMULATION_CAP)):
+        with pytest.raises(InstanceError, match="use analytic mode"):
+            lower_bound_row(i, cap=cap)
+    with pytest.raises(InstanceError, match="use analytic mode"):
+        pos_ratio(300)
 
 
 def test_limit_bound_values():

@@ -424,6 +424,29 @@ def test_transit_and_capacity_tables_are_fields_computed_when_the_graph_is_built
     assert back.unit_capacity is False
 
 
+def test_padded_capacities_are_a_field_computed_when_the_game_is_built():
+    graph = LinearMultigraph.from_transits([[2, 1, 3], [1, 1], [4]], [[2**70, 1, 3], [1, 1], [2]])
+    padded = {n: Game(graph, n).padded_capacities for n in (1, 2, 3, 4)}
+    # None on a layer of unit edges, min(c, n) in sorted edge order on any other;
+    # at n = 1 a wide layer stays wide, its capacities all 1
+    assert padded[4] == ((1, 4, 3), None, (2,))
+    assert padded[3] == ((1, 3, 3), None, (2,))
+    assert padded[2] == ((1, 2, 2), None, (2,))
+    assert padded[1] == ((1, 1, 1), None, (1,))
+    assert Game(LinearMultigraph.from_transits([[1, 2], [3]]), 5).padded_capacities == (None, None)
+    game = Game(graph, 3, (0, 1, 1))
+    # tuples all the way down, so no kernel can change them between calls
+    assert all(type(row) is tuple for row in (game.padded_capacities, *filter(None, game.padded_capacities)))
+    # not in the repr, and no part of == or hash
+    assert "padded_capacities" not in repr(game)
+    other = Game(graph, 3, (0, 1, 1))
+    object.__setattr__(other, "padded_capacities", ())
+    assert other == game and hash(other) == hash(game)
+    # in the pickle, and whole after unpickling
+    back = pickle.loads(pickle.dumps(game))
+    assert back.padded_capacities == ((1, 3, 3), None, (2,))
+
+
 def test_load_game_file_rejects_bad_json(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{nope")
