@@ -23,14 +23,14 @@ class ConstructionError(FifoRouteError):
     the enumeration: a player reached a node before a lower-index one."""
 
 
-# the policy kinds, and what a tie in head arrival does under each in the walk: on a
-# layer of unit edges and on one with a wider edge. The check takes the profile's own edge.
-_FIRST, _EVERY, _SLOWEST, _LONGEST_QUEUE, _SHORTEST_QUEUE = range(5)
+# the policy kinds, each with its one rule for a tie in head arrival: the first tied edge,
+# a draw among them all, or the longest or shortest queue. The check takes the profile's own edge.
+_FIRST, _EVERY, _LONGEST_QUEUE, _SHORTEST_QUEUE = range(4)
 _RULES = {
-    "greedy-queue": (_FIRST, _LONGEST_QUEUE),
-    "lowest-index": (_FIRST, _FIRST),
-    "shortest-queue": (_SLOWEST, _SHORTEST_QUEUE),
-    "seeded": (_EVERY, _EVERY),
+    "greedy-queue": _LONGEST_QUEUE,
+    "lowest-index": _FIRST,
+    "shortest-queue": _SHORTEST_QUEUE,
+    "seeded": _EVERY,
 }
 
 
@@ -113,31 +113,18 @@ def sequential_equilibrium(game: Game, policy: TieBreakPolicy = GREEDY_QUEUE) ->
     uniformly. Head arrivals only grow with t and ready times, so no player
     reaches a node before a lower-index one: the state is an equilibrium,
     and the default greedy-queue policy gives the one of largest makespan.
-    Players who take the same path share one PathChoice.
-
-    A game of unit edges under a policy whose unit-layer rule in _RULES is
-    the first tied edge is built one run of equal tail time at a time.
-    The c players who reach a layer's tail at t take the c least head slots
-    max(t + tau_e, ready_e) + 0, 1, ... in (time, edge index) order, and
-    their head times, in order, are the next layer's runs, so the ordering
-    invariant holds by construction. While c stays the same from one tail
-    time to the next, each step notes the shape of the edges: a queued edge
-    (ready_e >= t + tau_e) by its ready time less the least such, a free one
-    by a mark. Once a shape recurs after p steps, with that least ready time
-    moved by p + s, the next m periods repeat the last one shifted: the
-    column grows by the period's slice m times and each queued ready time
-    by m (p + s). For s > 0, m stops before the water level passes a free
-    edge's head t + tau_e; for s < 0, before a queued edge's ready time
-    falls below t + tau_e. Every other game goes player by player through _walk.
+    Players who take the same path share one PathChoice. A game of unit
+    edges under lowest-index or greedy-queue is built in runs of equal tail
+    time (_fill_columns), any other player by player (_walk).
     """
-    if _RULES[policy.kind][0] == _FIRST and game.graph.unit_capacity:
-        keys: Iterable[tuple[int, ...]] = zip(*_fill_columns(game))
+    # on unit edges the first tied edge has the longest queue (see _walk)
+    if game.graph.unit_capacity and _RULES[policy.kind] in (_FIRST, _LONGEST_QUEUE):
+        columns = _fill_columns(game)
     else:
-        choice = _walk(game, policy)[1]
-        keys = zip(*[iter(choice)] * game.graph.num_layers)  # m edges per player
+        columns = _walk(game, policy)[1]
     path_of: dict[tuple[int, ...], PathChoice] = {}
     paths = []
-    for key in keys:
+    for key in zip(*columns):
         path = path_of.get(key)
         if path is None:
             path = path_of[key] = PathChoice(key)
@@ -148,21 +135,35 @@ def sequential_equilibrium(game: Game, policy: TieBreakPolicy = GREEDY_QUEUE) ->
 def _fill_columns(game: Game) -> list[list[int]]:
     """Per layer, every player's 1-based edge, on a game of unit edges where
     the first tied edge wins: the run-length path of sequential_equilibrium.
-    Every layer's head arrivals come out as runs, merged into the blocks fed
-    to the next layer; nothing reads the last layer's yet."""
-    # a layer's players come in blocks [t, c, length]: c players reach its
-    # tail at each of the times t, t + 1, ..., t + length - 1
-    blocks: list[list[int]] = []
+
+    A layer is built one run of equal tail time at a time. The c players
+    who reach its tail at t take the c least head slots
+    max(t + tau_e, ready_e) + 0, 1, ... in (time, edge index) order, and
+    their head times, in order, are the next layer's runs, so no player
+    reaches a node before a lower-index one. While c stays the same from
+    one tail time to the next, each step notes the shape of the edges: a
+    queued edge (ready_e >= t + tau_e) by its ready time less the least
+    such, a free one by a mark. Once a shape recurs after p steps, with that
+    least ready time moved by p + s, the next m periods repeat the last one
+    shifted: the column grows by the period's slice m times and each queued
+    ready time by m (p + s). For s > 0, m stops before the water level
+    passes a free edge's head t + tau_e; for s < 0, before a queued edge's
+    ready time falls below t + tau_e.
+    """
+    # head arrivals as runs (t, c, length) in order, a step's first run
+    # possibly at the previous run's last time; first the starting pattern's
     if game.starting_pattern is None:
-        blocks.append([0, game.n, 1])
+        runs = [(0, game.n, 1)]
     else:
-        for t, group in groupby(game.starting_pattern):
-            _merge_run(blocks, t, sum(1 for _ in group), 1)
+        runs = [(t, sum(1 for _ in group), 1) for t, group in groupby(game.starting_pattern)]
     columns = []
     for taus in game.graph.transits:
-        # head arrivals as runs (t, c, length) in order, a step's first run
-        # possibly at the previous run's last time
-        runs: list[tuple[int, int, int]] = []
+        # the layer's players in blocks [t, c, length]: c players reach its
+        # tail at each of the times t, t + 1, ..., t + length - 1
+        blocks: list[list[int]] = []
+        for run in runs:
+            _merge_run(blocks, *run)
+        runs = []
         if len(taus) == 1:  # one edge: a block's players follow each other from its head
             column = [1] * game.n
             x = 0
@@ -181,9 +182,6 @@ def _fill_columns(game: Game) -> list[list[int]]:
                 else:
                     _fill_block(t, c, t + length, taus, ready, column, runs)
         columns.append(column)
-        blocks = []
-        for run in runs:
-            _merge_run(blocks, *run)
     return columns
 
 
@@ -360,10 +358,10 @@ def _merge_run(blocks: list[list[int]], t: int, c: int, length: int) -> None:
     blocks.append([t, c, length])
 
 
-def _walk(game: Game, settle: TieBreakPolicy | State) -> tuple[int, list[int]]:
+def _walk(game: Game, settle: TieBreakPolicy | State) -> tuple[int, list[list[int]]]:
     """Walk the players in index order, layer by layer, each into an edge of
-    least head arrival; returns how many players it passed and the 1-based
-    edge of each step, player by player.
+    least head arrival; returns how many players it passed and, per layer,
+    the 1-based edge of each of them there, as _fill_columns does.
 
     From tail time t, edge e's head arrival is max(t + tau_e, ready_e): a
     newcomer queues behind the lower-index entrants (arrival_sweep's rule),
@@ -371,10 +369,10 @@ def _walk(game: Game, settle: TieBreakPolicy | State) -> tuple[int, list[int]]:
     listed after c zeros that never bind, c from the game's padded_capacities.
     Layers ascend in transit, so the scan stops at the first edge whose
     transit alone is too slow. `settle` decides ties:
-    - a policy takes one tied edge. On a layer of unit edges a tied edge's
-      queue is H - t - tau_e, so greedy-queue keeps the first and
-      shortest-queue the one of largest transit; on other layers both
-      count the entrants that reach e's head at t + tau_e or later.
+    - a policy takes one tied edge by its rule in _RULES. The queue of an
+      edge tied at head arrival H is H - t - tau_e on a layer of unit edges,
+      longest on the first tied edge and shortest on the slowest, and on a
+      wide layer the count of entrants that reach e's head at t + tau_e or later.
     - a State takes the profile's own edge and stops at the first player
       whose edge's head arrival is later than the least, returning its index.
     The seeded policy's generator is made at its first tie of two or more
@@ -382,18 +380,17 @@ def _walk(game: Game, settle: TieBreakPolicy | State) -> tuple[int, list[int]]:
     Each step asserts that the player reaches the layer's head no earlier
     than the latest head arrival there, the previous player's.
     """
-    kind = settle.kind if isinstance(settle, TieBreakPolicy) else None
+    rule = _RULES[settle.kind] if isinstance(settle, TieBreakPolicy) else None
     rng = None  # seeded: made at the first tie of two or more edges
-    layers = []
+    layers, columns = [], []
     for taus, caps in zip(game.graph.transits, game.padded_capacities):
         hits = None if caps is None else [[0] * c for c in caps]  # wide layers: ready times, queue counts
-        rule = _RULES[kind][caps is not None] if kind else _FIRST
-        layers.append((taus, range(1, len(taus)), caps, [0] * len(taus), hits, rule))
+        columns.append([])
+        layers.append((taus, range(1, len(taus)), caps, [0] * len(taus), hits, columns[-1]))
 
     front = [0] * game.graph.num_layers  # each layer's latest head arrival
-    choice = []  # the 1-based edge of each step
     for i, t in enumerate(game.start_times()):
-        for j, (taus, rest, caps, ready, hits, rule) in enumerate(layers):
+        for j, (taus, rest, caps, ready, hits, column) in enumerate(layers):
             best, best_h = 0, t + taus[0]
             if ready[0] > best_h:
                 best_h = ready[0]
@@ -412,18 +409,18 @@ def _walk(game: Game, settle: TieBreakPolicy | State) -> tuple[int, list[int]]:
                 elif h == best_h and rule:
                     if rule == _EVERY:
                         tied.append(e)
-                    elif rule == _SLOWEST:
-                        if tau > taus[best]:
+                    elif hits is None:  # unit edges: e's queue is shorter than best's iff tau is larger
+                        if tau > taus[best] and rule == _SHORTEST_QUEUE:
                             best = e
                     else:
                         q = len(hits[e]) - bisect_left(hits[e], t + tau)
                         q_best = len(hits[best]) - bisect_left(hits[best], t + taus[best])
                         if q > q_best if rule == _LONGEST_QUEUE else q < q_best:
                             best = e
-            if kind is None:
+            if rule is None:
                 best = settle.paths[i].edge_indices[j] - 1
                 if max(t + taus[best], ready[best]) > best_h:
-                    return i, choice
+                    return i, columns
             elif tied is not None and len(tied) > 1:
                 if rng is None:
                     rng = random.Random(settle.seed)
@@ -437,8 +434,8 @@ def _walk(game: Game, settle: TieBreakPolicy | State) -> tuple[int, list[int]]:
             if best_h < front[j]:
                 raise ConstructionError(f"player {i + 1} reaches node {j + 1} before player {i}")
             front[j] = t = best_h
-            choice.append(best + 1)
-    return game.n, choice
+            column.append(best + 1)
+    return game.n, columns
 
 
 DEFAULT_PATH_BUDGET = 10_000
@@ -515,14 +512,14 @@ def enumerate_equilibria(game: Game, state_budget: int = DEFAULT_STATE_BUDGET) -
     if type(state_budget) is not int or state_budget < 1:
         raise BudgetError(f"state budget must be an integer >= 1, not {state_budget!r}")
     num_paths = _capped_product(game.graph.layer_sizes, state_budget)
-    # one path means one state for any n, without n multiplications
-    total = _capped_product(repeat(num_paths, game.n), state_budget) if num_paths > 1 else 1
-    if total > state_budget:
+    if num_paths > 1 and _capped_product(repeat(num_paths, game.n), state_budget) > state_budget:
         raise BudgetError(f"budget exceeded: {game.n} players have over {state_budget} states")
     check_times_fit_int64(game)
+    paths = all_paths(game.graph)
+    if num_paths == 1:  # one profile, in which no player can deviate
+        return [State((paths[0],) * game.n)]
 
     m = game.graph.num_layers
-    paths = all_paths(game.graph)
     # a state: each edge's last c head arrivals plus one, oldest first, then each layer's latest head
     layers = []
     size = 0

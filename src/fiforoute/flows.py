@@ -40,8 +40,6 @@ def state_to_flow(game: Game, loading: LoadingResult) -> FlowOverTime:
     horizon = loading.makespan + 1
     rates: dict[tuple[int, int], Breakpoints] = {}
     for key, log in loading.edge_logs.items():
-        if not log.departs:
-            continue
         counts = Counter(log.departs)
         bps: list[tuple[int, int]] = []
         current = 0

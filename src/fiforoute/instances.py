@@ -35,7 +35,7 @@ def ceil_e_times(i: int) -> int:
 
 
 def harmonic_range(a: int, b: int) -> Fraction:
-    """Exact sum of 1/j for a <= j <= b (zero when empty), via pair merging.
+    """Exact sum of 1/j for a <= j <= b (zero when empty, InstanceError if it holds 0), via pair merging.
 
     Divide and conquer keeps the intermediate numerators balanced, so the
     big-integer work stays near-linear instead of quadratic for ranges with
@@ -43,6 +43,8 @@ def harmonic_range(a: int, b: int) -> Fraction:
     """
     if a > b:
         return Fraction(0)
+    if a <= 0 <= b:
+        raise InstanceError(f"harmonic range {a}..{b} contains 0")
     num, den = _harmonic_pair(a, b)
     return Fraction(num, den)
 

@@ -237,6 +237,7 @@ def test_eq_policies(two_layer_files, capsys):
     assert json.loads(out)["policy"] == "seeded:7"
     code, out, _ = run(capsys, "eq", g, "--policy", "seeded", "--seed", "9")
     assert json.loads(out)["policy"] == "seeded:9"
+    assert run(capsys, "eq", g, "--policy", "seeded:x") == (2, "", "error: bad seed in policy 'seeded:x'\n")
 
 
 def test_opt_reports_plan(two_layer_files, capsys):
@@ -299,7 +300,16 @@ def test_lowerbound_argument_validation(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["lowerbound", "--i-range", "3..1"])
     assert exc.value.code == 2
-    capsys.readouterr()
+    for argv, message in [
+        (["--i-range", "a..b"], "argument --i-range: expected a..b with integers"),
+        (["--i", "0"], "argument --i: must be positive"),
+        (["--i", "1", "--cap", "0"], "argument --cap: must be positive"),
+    ]:
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(["lowerbound", *argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
 
 def test_lowerbound_simulation_cap(capsys):

@@ -48,6 +48,8 @@ def test_policy_names_round_trip():
     assert parse_policy("seeded", default_seed=7) == seeded(7)
     with pytest.raises(Exception):
         parse_policy("fastest")
+    with pytest.raises(FifoRouteError, match=r"^bad seed in policy 'seeded:x'$"):
+        parse_policy("seeded:x")
 
 
 def test_policy_rejects_unknown_kinds_and_bad_seeds():
@@ -200,6 +202,18 @@ def test_run_length_path_matches_replay_oracle(monkeypatch):
     # periods with growing, steady and draining queues; growing and
     # draining ones also cut short by their bounds
     assert all(jumps[sign, cut] for sign in (1, -1) for cut in (False, True)) and jumps[0, False]
+
+
+def test_walk_gives_the_run_length_columns_where_the_first_tied_edge_wins(fuzz_corpus):
+    # on unit edges the first tied edge has the longest queue, so greedy-queue
+    # may take the run-length path; both constructors return per-layer columns
+    rng = random.Random(31)
+    games = fuzz_corpus[::20] + [random_deep_game(rng, 60, False, k % 2 == 1) for k in range(100)]
+    for game in games:
+        columns = equilibria._fill_columns(game)
+        assert len(columns) == game.graph.num_layers and all(len(c) == game.n for c in columns)
+        for policy in (GREEDY_QUEUE, LOWEST_INDEX):
+            assert equilibria._walk(game, policy) == (game.n, columns), (game, policy)
 
 
 def test_lower_bound_equilibria_at_i3_are_pinned():
@@ -476,7 +490,7 @@ def test_enumerate_matches_replay_oracle_on_tie_heavy_games(nine_player_game):
 
 
 def test_enumerate_wall_clock_gates(nine_player_game):
-    # the nine-player example with the budget raised, and a one-path game whose
+    # the nine-player example with the budget raised, and one-path games whose
     # 200 000 players have one profile; each well above its time on a 2-core box
     def best(game, repeats, **budget):
         seconds = []
@@ -488,9 +502,10 @@ def test_enumerate_wall_clock_gates(nine_player_game):
 
     elapsed, eqs = best(nine_player_game, 3, state_budget=8**9)
     assert len(eqs) == 6912 and elapsed < 1.0, f"nine-player enumeration took {elapsed:.3f} s"
-    elapsed, eqs = best(Game(LinearMultigraph.from_transits([[1]]), 200_000), 2)
-    assert eqs == [State((PathChoice((1,)),) * 200_000)], eqs[:1]
-    assert elapsed < 2.0, f"one-path game took {elapsed:.3f} s"
+    for capacities in (None, [[10**9]]):  # one profile at any capacity, with no walk of the players
+        elapsed, eqs = best(Game(LinearMultigraph.from_transits([[1]], capacities), 200_000), 2)
+        assert eqs == [State((PathChoice((1,)),) * 200_000)], eqs[:1]
+        assert elapsed < 2.0, f"one-path game with capacities {capacities} took {elapsed:.3f} s"
 
 
 def test_budgets_must_be_ints_of_at_least_one(two_layer_game, two_layer_state):

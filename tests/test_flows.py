@@ -111,6 +111,12 @@ def test_unknown_edge_and_bad_breakpoints_detected():
     flow = FlowOverTime(3, {(1, 1): ((1, 1), (0, 0))})
     msgs = check_flow_feasible(graph, flow)
     assert msgs == ["edge 1:1 breakpoints not strictly increasing"]
+    flow = FlowOverTime(3, {(1, 1): ((0, -1), (1, 1))})
+    assert check_flow_feasible(graph, flow) == [
+        "edge 1:1 does not end at rate 0",
+        "edge 1:1 negative rate -1 at time 0",
+        "edge 1:1 active on [1,3) past cutoff 2",
+    ]
 
 
 def test_flow_before_time_zero_detected():

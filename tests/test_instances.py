@@ -66,6 +66,13 @@ def test_harmonic_range_matches_naive_sum():
         naive = sum(Fraction(1, j) for j in range(a, b + 1))
         assert harmonic_range(a, b) == naive
     assert harmonic_range(7, 6) == 0
+    assert harmonic_range(-3, -1) == -harmonic_range(1, 3)
+
+
+@pytest.mark.parametrize("a, b", [(0, 3), (-2, 0), (0, 0), (-1, 1)])
+def test_harmonic_range_refuses_a_range_that_holds_zero(a, b):
+    with pytest.raises(InstanceError, match=f"^harmonic range {a}..{b} contains 0$"):
+        harmonic_range(a, b)
 
 
 def test_gkl_layer_shapes():

@@ -103,6 +103,13 @@ def test_validate_game_flags_decreasing_pattern():
 
 
 def test_validate_game_checks_sizes():
+    for layers, problem in [
+        ((), "graph has no layers"),
+        (((Edge(1, 1, 1),), ()), "layer 2 is empty"),
+        (((Edge(2, 1, 1),),), r"layer 1 edge 1: mislabeled as \(2,1\)"),
+    ]:
+        with pytest.raises(ModelError, match=f"^invalid game: {problem}$"):
+            Game(LinearMultigraph(layers), 1)
     with pytest.raises(ModelError, match="starting pattern"):
         Game(LinearMultigraph.from_transits([[1]]), 2, (0,))
     with pytest.raises(ModelError, match="invalid game: player count must be >= 1"):
@@ -291,6 +298,8 @@ def test_path_length_sums_transits():
     assert path_length(g, PathChoice((2, 1))) == 6
     with pytest.raises(ModelError, match="no such edge"):
         path_length(g, PathChoice((3, 1)))
+    with pytest.raises(ModelError, match="^no such edge: path covers 3 layers, graph has 2$"):
+        path_length(g, PathChoice((1, 1, 1)))
 
 
 def test_kth_cheapest_path_uses_rank_per_layer():
@@ -299,6 +308,8 @@ def test_kth_cheapest_path_uses_rank_per_layer():
     assert kth_cheapest_path(g, 3).edge_indices == (3, 3)
     with pytest.raises(ModelError, match="decomposition exhausted"):
         kth_cheapest_path(g, 4)
+    with pytest.raises(ModelError, match="^path rank must be >= 1, got 0$"):
+        kth_cheapest_path(g, 0)
 
 
 def test_kth_cheapest_lengths_non_decreasing():
@@ -459,6 +470,21 @@ def test_game_from_dict_rejects_missing_fields():
         game_from_dict({"layers": [[1]]})
     with pytest.raises(ModelError):
         game_from_dict({"n": 2})
+
+
+@pytest.mark.parametrize(
+    "read, data, message",
+    [
+        (game_from_dict, [[1]], "game file must hold a JSON object"),
+        (game_from_dict, {"layers": [[1]], "n": "3"}, "'n' must be an integer"),
+        (game_from_dict, {"layers": [[1]], "n": 1, "capacities": [[1.5]]}, "'capacities' must be a list of integer lists"),
+        (state_from_dict, [[1]], "state file must hold a JSON object with a 'paths' key"),
+    ],
+    ids=["game-not-an-object", "game-n-a-string", "game-capacity-a-float", "state-not-an-object"],
+)
+def test_dict_readers_reject_documents_of_the_wrong_shape(read, data, message):
+    with pytest.raises(ModelError, match=f"^{message}$"):
+        read(data)
 
 
 def test_capacities_survive_round_trip():

@@ -86,6 +86,11 @@ def test_certificate_names_every_tampered_claim():
         "stored certificate (4, 8) != recomputed (4, 7)"
     ]
     assert optimality_certificate(replace(plan, counts=(3, 3, 1)), g1) == ["counts sum to 7, not n = 6"]
+    assert optimality_certificate(replace(plan, horizon=5), g1) == [
+        "horizon not minimal: max_packets(4) = 7 >= n = 6",
+        "stored certificate (4, 7) != recomputed (7, 10)",
+        "loading the plan gives makespan 4, not 5",
+    ]
     assert optimality_certificate(replace(plan, horizon=3), g1) == [
         "horizon infeasible: max_packets(3) = 4 < n = 6",
         "stored certificate (4, 7) != recomputed (2, 4)",

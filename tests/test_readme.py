@@ -1,10 +1,11 @@
 """The README's examples run and print what their comments say."""
+import argparse
 import ast
 import json
 import re
 from pathlib import Path
 
-from fiforoute.cli import main
+from fiforoute.cli import build_parser, main
 
 README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
 
@@ -41,3 +42,10 @@ def test_command_line_example_files_load(tmp_path, capsys):
     assert main(["load", str(tmp_path / "game.json"), str(tmp_path / "state.json")]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report == {"arrivals": [[0, 0, 0], [1, 2, 2], [3, 4, 5]], "completions": [3, 4, 5], "makespan": 5}
+
+
+def test_command_line_table_lists_every_subcommand():
+    section = README.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `([a-z-]+)", section, re.M)
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert listed == list(sub.choices)
