@@ -73,17 +73,17 @@ def seeded(seed: int) -> TieBreakPolicy:
     return TieBreakPolicy("seeded", seed)
 
 
-def parse_policy(text: str, default_seed: int | None = None) -> TieBreakPolicy:
-    """Parse a policy name: greedy-queue, lowest-index, shortest-queue, seeded:<u64>."""
-    if text in ("greedy-queue", "lowest-index", "shortest-queue"):
-        return TieBreakPolicy(text)
+def parse_policy(text: str) -> TieBreakPolicy:
+    """Parse a policy name: a kind of _RULES, with seeded as seeded:<u64> or bare for seed 0."""
     if text == "seeded":
-        return seeded(default_seed if default_seed is not None else 0)
+        return seeded(0)
     if text.startswith("seeded:"):
         try:
             return seeded(int(text.split(":", 1)[1]))
         except ValueError:
             raise FifoRouteError(f"bad seed in policy {text!r}") from None
+    if text in _RULES:
+        return TieBreakPolicy(text)
     raise FifoRouteError(f"unknown policy {text!r}")
 
 
@@ -115,8 +115,11 @@ def sequential_equilibrium(game: Game, policy: TieBreakPolicy = GREEDY_QUEUE) ->
     and the default greedy-queue policy gives the one of largest makespan.
     Players who take the same path share one PathChoice. A game of unit
     edges under lowest-index or greedy-queue is built in runs of equal tail
-    time (_fill_columns), any other player by player (_walk).
+    time (_fill_columns), any other player by player (_walk). A game with
+    one path has one profile, which is returned at once.
     """
+    if game.num_paths() == 1:
+        return State((PathChoice((1,) * game.graph.num_layers),) * game.n)
     # on unit edges the first tied edge has the longest queue (see _walk)
     if game.graph.unit_capacity and _RULES[policy.kind] in (_FIRST, _LONGEST_QUEUE):
         columns = _fill_columns(game)
@@ -472,11 +475,14 @@ def is_ufr_equilibrium(
     """
     if type(path_budget) is not int or path_budget < 1:
         raise BudgetError(f"path budget must be an integer >= 1, not {path_budget!r}")
-    if _capped_product(game.graph.layer_sizes, path_budget) > path_budget:
+    num_paths = _capped_product(game.graph.layer_sizes, path_budget)
+    if num_paths > path_budget:
         raise BudgetError(
             f"instance too large for exact check: over the path budget of {path_budget} paths per player"
         )
     check_profile(game, state)
+    if num_paths == 1:  # one profile, in which no player can deviate
+        return True
     i = _walk(game, state)[0]
     if i == game.n:
         return True

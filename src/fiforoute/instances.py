@@ -75,8 +75,6 @@ class LowerBoundParams:
 
     @classmethod
     def for_index(cls, i: int) -> "LowerBoundParams":
-        if i < 1:
-            raise InstanceError(f"index must be >= 1, got {i}")
         k = ceil_e_times(i)
         l = i
         n = factorial(k)
@@ -162,7 +160,7 @@ def limit_bound(l: int) -> Fraction:
 
 def lower_bound_row(i: int, mode: str = "simulate", cap: int = SIMULATION_CAP) -> dict:
     """One table row of the convergence report; exact fields plus decimal echoes.
-    simulate builds the greedy-queue equilibrium and loads it (player count
+    simulate builds the greedy-queue equilibrium and sweeps it (player count
     capped), analytic takes the closed form; the optimum is min_horizon."""
     params = LowerBoundParams.for_index(i)
     if mode == "simulate" and params.n > cap:  # before building k - i layers of k edges

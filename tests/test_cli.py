@@ -17,13 +17,14 @@ from fiforoute import (
     enumerate_equilibria,
     gen_lower_bound_game,
     load,
+    lower_bound_row,
     optimal_state,
     save_game_file,
     save_state_file,
     sequential_equilibrium,
     trace_rows,
 )
-from fiforoute.cli import LOWERBOUND_COLUMNS, _load_report, main
+from fiforoute.cli import _load_report, main
 
 
 @pytest.fixture
@@ -235,9 +236,12 @@ def test_eq_policies(two_layer_files, capsys):
 
     code, out, _ = run(capsys, "eq", g, "--policy", "seeded:7")
     assert json.loads(out)["policy"] == "seeded:7"
-    code, out, _ = run(capsys, "eq", g, "--policy", "seeded", "--seed", "9")
-    assert json.loads(out)["policy"] == "seeded:9"
+    code, out, _ = run(capsys, "eq", g, "--policy", "seeded")
+    assert json.loads(out)["policy"] == "seeded:0"
     assert run(capsys, "eq", g, "--policy", "seeded:x") == (2, "", "error: bad seed in policy 'seeded:x'\n")
+    with pytest.raises(SystemExit) as exc:  # a seed goes in the policy name only
+        main(["eq", g, "--policy", "seeded", "--seed", "9"])
+    assert exc.value.code == 2
 
 
 def test_opt_reports_plan(two_layer_files, capsys):
@@ -268,7 +272,7 @@ def test_lowerbound_single_row_csv(capsys):
     code, out, _ = run(capsys, "lowerbound", "--i", "1")
     assert code == 0
     lines = out.splitlines()
-    assert lines[0] == ",".join(LOWERBOUND_COLUMNS)
+    assert lines[0] == ",".join(lower_bound_row(1))
     fields = lines[1].split(",")
     assert fields[: 4] == ["1", "3", "1", "6"]
     assert fields[4] == "4"

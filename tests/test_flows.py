@@ -117,6 +117,10 @@ def test_unknown_edge_and_bad_breakpoints_detected():
         "edge 1:1 negative rate -1 at time 0",
         "edge 1:1 active on [1,3) past cutoff 2",
     ]
+    # a rate-0 breakpoint past the horizon: the conservation sweep stops at the horizon
+    graph = LinearMultigraph.from_transits([[1], [1]])
+    flow = FlowOverTime(4, {(1, 1): ((0, 1), (1, 0), (9, 0)), (2, 1): ((1, 1), (2, 0))})
+    assert check_flow_feasible(graph, flow, expected_value=1) == []
 
 
 def test_flow_before_time_zero_detected():

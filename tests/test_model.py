@@ -296,6 +296,7 @@ def test_load_state_file_shares_equal_rows_and_keeps_per_player_messages(tmp_pat
 def test_path_length_sums_transits():
     g = LinearMultigraph.from_transits([[1, 4], [2]])
     assert path_length(g, PathChoice((2, 1))) == 6
+    assert len(PathChoice((2, 1))) == g.num_layers
     with pytest.raises(ModelError, match="no such edge"):
         path_length(g, PathChoice((3, 1)))
     with pytest.raises(ModelError, match="^no such edge: path covers 3 layers, graph has 2$"):
@@ -310,6 +311,8 @@ def test_kth_cheapest_path_uses_rank_per_layer():
         kth_cheapest_path(g, 4)
     with pytest.raises(ModelError, match="^path rank must be >= 1, got 0$"):
         kth_cheapest_path(g, 0)
+    with pytest.raises(ModelError, match="^graph has capacities > 1; split capacities first$"):
+        kth_cheapest_path(LinearMultigraph.from_transits([[1, 2], [1]], [[1, 2], [1]]), 1)
 
 
 def test_kth_cheapest_lengths_non_decreasing():

@@ -49,3 +49,17 @@ def test_command_line_table_lists_every_subcommand():
     listed = re.findall(r"^\| `([a-z-]+)", section, re.M)
     (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert listed == list(sub.choices)
+
+
+def test_command_line_section_names_every_option():
+    section = README.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    tokens = set(re.findall(r"(?<![\w-])--?[\w-]+", section))
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    missing = [
+        (name, option)
+        for name, parser in sub.choices.items()
+        for action in parser._actions
+        for option in action.option_strings
+        if option not in ("-h", "--help") and option not in tokens
+    ]
+    assert missing == []
