@@ -1,8 +1,8 @@
 """Command-line front end. One subcommand per library capability.
 
 Exit codes: 0 success, 1 semantic verdict (not an equilibrium, infeasible
-flow), 2 usage or input error. All output is deterministic given the inputs
-and the seed.
+flow), 2 usage or input error, or a result with an integer too long for
+Python to print. All output is deterministic given the inputs and the seed.
 """
 from __future__ import annotations
 
@@ -23,7 +23,7 @@ from .equilibria import (
 )
 from .flows import check_flow_feasible, flow_to_dict, state_to_flow
 from .instances import SIMULATION_CAP, lower_bound_row
-from .loading import LoadingResult, arrival_sweep, check_times_fit_int64, load, trace_rows
+from .loading import LoadingResult, arrival_sweep, load, trace_rows
 from .model import (
     FifoRouteError,
     Game,
@@ -92,7 +92,6 @@ def _load_report(result: LoadingResult, trace: bool) -> str:
 def cmd_eq(args: argparse.Namespace) -> int:
     game = _simulable_game(args.game)
     policy = parse_policy(args.policy)
-    check_times_fit_int64(game)
     state = sequential_equilibrium(game, policy)
     _emit(
         {
@@ -121,7 +120,6 @@ def cmd_opt(args: argparse.Namespace) -> int:
 
 def cmd_poa(args: argparse.Namespace) -> int:
     game = _simulable_game(args.game)
-    check_times_fit_int64(game)
     horizon = min_horizon(game)
     state = sequential_equilibrium(game)
     worst = max(arrival_sweep(game, state.paths)[-1])
@@ -315,6 +313,14 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (FifoRouteError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except ValueError as exc:
+        # only Python's refusal to turn an int of too many digits into text
+        if "for integer string conversion;" not in str(exc):
+            raise
+        digits = sys.get_int_max_str_digits()
+        print(f"error: a result has an integer of over {digits} digits, Python's limit for printing one",
+              file=sys.stderr)
         return EXIT_INPUT
 
 

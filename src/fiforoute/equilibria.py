@@ -10,7 +10,7 @@ from typing import Union
 
 # load and validate_game are unused here; perfbench's span self-test reads
 # equilibria.load and equilibria.validate_game
-from .loading import arrival_sweep, check_profile, check_times_fit_int64, load
+from .loading import arrival_sweep, check_profile, load
 from .model import FifoRouteError, Game, PathChoice, State, all_paths, validate_game
 
 
@@ -512,15 +512,13 @@ def enumerate_equilibria(game: Game, state_budget: int = DEFAULT_STATE_BUDGET) -
     distinct state, depth first over the tied edges as _walk scans them: a
     path and the state it leaves. Equal states merge, so each subgame is
     solved once, and each profile prefix grows by its state's moves in
-    order. The budget, an int >= 1, counts all num_paths**n profiles; a game
-    whose times could exceed int64 raises LoadingError.
+    order. The budget, an int >= 1, counts all num_paths**n profiles.
     """
     if type(state_budget) is not int or state_budget < 1:
         raise BudgetError(f"state budget must be an integer >= 1, not {state_budget!r}")
     num_paths = _capped_product(game.graph.layer_sizes, state_budget)
     if num_paths > 1 and _capped_product(repeat(num_paths, game.n), state_budget) > state_budget:
         raise BudgetError(f"budget exceeded: {game.n} players have over {state_budget} states")
-    check_times_fit_int64(game)
     paths = all_paths(game.graph)
     if num_paths == 1:  # one profile, in which no player can deviate
         return [State((paths[0],) * game.n)]

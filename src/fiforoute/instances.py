@@ -162,6 +162,8 @@ def lower_bound_row(i: int, mode: str = "simulate", cap: int = SIMULATION_CAP) -
     """One table row of the convergence report; exact fields plus decimal echoes.
     simulate builds the greedy-queue equilibrium and sweeps it (player count
     capped), analytic takes the closed form; the optimum is min_horizon."""
+    if mode not in ("simulate", "analytic"):
+        raise InstanceError(f"unknown mode {mode!r} (expected simulate or analytic)")
     params = LowerBoundParams.for_index(i)
     if mode == "simulate" and params.n > cap:  # before building k - i layers of k edges
         raise InstanceError(f"n = {params.n} exceeds the simulation cap {cap}; use analytic mode")
@@ -169,10 +171,8 @@ def lower_bound_row(i: int, mode: str = "simulate", cap: int = SIMULATION_CAP) -
     if mode == "simulate":
         state = sequential_equilibrium(game)
         eq_makespan, source = max(arrival_sweep(game, state.paths)[-1]), "sim"
-    elif mode == "analytic":
-        eq_makespan, source = eq_completion_closed_form(params), "formula"
     else:
-        raise InstanceError(f"unknown mode {mode!r} (expected simulate or analytic)")
+        eq_makespan, source = eq_completion_closed_form(params), "formula"
     opt = min_horizon(game)
     ratio = Fraction(eq_makespan, opt)
     return {

@@ -1,7 +1,6 @@
 """Discrete-time FIFO network loading: map a strategy profile to its full timeline."""
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass, fields
@@ -15,7 +14,7 @@ from .model import Edge, FifoRouteError, Game, PathChoice, State, validate_game,
 
 
 class LoadingError(FifoRouteError):
-    """A game/state mismatch, or times beyond the int64 range."""
+    """A state that does not fit its game."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -33,12 +32,15 @@ class TraceEvent:
 class EdgeLog:
     """FIFO history of one edge: i-th queue entry/departure and who it was."""
 
-    entries: array  # entry times, non-decreasing
-    departs: array  # departure times, non-decreasing
-    players: array  # 0-based player per slot, in FIFO order
+    entries: tuple[int, ...]  # entry times, non-decreasing
+    departs: tuple[int, ...]  # departure times, non-decreasing
+    players: tuple[int, ...]  # 0-based player per slot, in FIFO order
 
     def __len__(self) -> int:
         return len(self.players)
+
+
+_EMPTY_LOG = EdgeLog((), (), ())
 
 
 @dataclass(frozen=True)
@@ -61,9 +63,8 @@ class LoadingResult:
     makespan: int
 
     def edge_log(self, layer: int, index: int) -> EdgeLog:
-        """The edge's log, or a new empty one for an edge nobody used."""
-        log = self.edge_logs.get((layer, index))
-        return EdgeLog(array("q"), array("q"), array("q")) if log is None else log
+        """The edge's log, or an empty one for an edge nobody used."""
+        return self.edge_logs.get((layer, index), _EMPTY_LOG)
 
     def __getstate__(self) -> dict:
         # the fields only: reading a derived value must not change what a
@@ -75,16 +76,17 @@ class LoadingResult:
         """Per used edge, its FIFO log: players in (tail arrival, index) order,
         entering at the tail arrival, departing a transit before the head arrival."""
         logs = {}
+        everyone = list(range(self.game.n))  # one int object per player, shared by all logs
         for j, transits in enumerate(self.game.graph.transits):
             a, b = self.arrivals[j], self.arrivals[j + 1]
-            players = [array("q") for _ in transits]
-            for i in sorted(range(self.game.n), key=a.__getitem__):  # stable: ties by index
+            players = [[] for _ in transits]
+            for i in sorted(everyone, key=a.__getitem__):  # stable: ties by index
                 players[self.state.paths[i].edge_indices[j] - 1].append(i)
             for idx, (tau, on) in enumerate(zip(transits, players), start=1):
                 if on:
-                    entries = array("q", [a[i] for i in on])
-                    departs = array("q", [b[i] - tau for i in on])
-                    logs[(j + 1, idx)] = EdgeLog(entries, departs, on)
+                    entries = tuple(map(a.__getitem__, on))
+                    departs = tuple([b[i] - tau for i in on])
+                    logs[(j + 1, idx)] = EdgeLog(entries, departs, tuple(on))
         return logs
 
     @cached_property
@@ -161,25 +163,9 @@ class LoadingResult:
         return tuple(times), tuple(accumulate(joins[t] - leaves[t] for t in times))
 
 
-def check_times_fit_int64(game: Game) -> None:
-    """Raise LoadingError unless every time of every profile fits in int64.
-
-    Edge logs hold times as int64, and enumeration keeps the same limit. A
-    player waits fewer than n steps per layer, so no arrival exceeds the
-    last player's start (the game is valid, so starts are non-decreasing)
-    plus, per layer, the largest transit and n. That bound must stay below
-    2**62, half the int64 range, which also covers intermediate sums.
-    """
-    graph = game.graph
-    bound = game.start_time(game.n - 1) + sum(map(max, graph.transits)) + game.n * graph.num_layers
-    if bound >= 2**62:
-        raise LoadingError(f"times may reach {bound}, beyond the 2**62 limit of int64 time tables")
-
-
 def check_profile(game: Game, state: State) -> None:
-    """Raise LoadingError unless the game's times fit int64 and the profile
-    fits the game, as load requires before it sweeps."""
-    check_times_fit_int64(game)
+    """Raise LoadingError unless the profile fits the game, as load requires
+    before it sweeps."""
     bad = validate_state(game, state)
     if bad:
         raise LoadingError("state does not fit game: " + "; ".join(bad))
@@ -258,9 +244,8 @@ def load(game: Game, state: State) -> LoadingResult:
     """Validate a profile against its game, then load it with arrival_sweep.
 
     The game is valid since it was built. A profile that does not fit it
-    raises LoadingError, and so does a game whose times could exceed int64.
-    The result stores the arrivals; edge logs, queues and traces are derived
-    from them on first read.
+    raises LoadingError. The result stores the arrivals; edge logs, queues
+    and traces are derived from them on first read.
     """
     check_profile(game, state)
     arrivals = arrival_sweep(game, state.paths)

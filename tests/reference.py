@@ -259,7 +259,7 @@ def heap_load(game: Game, state: State, *, trace: bool = False, queue_trace: boo
         completions=completions,
         makespan=max(completions),
         edge_logs={
-            keys[eid]: EdgeLog(log_entries[eid], log_departs[eid], log_players[eid])
+            keys[eid]: EdgeLog(tuple(log_entries[eid]), tuple(log_departs[eid]), tuple(log_players[eid]))
             for eid in range(total)
             if len(log_players[eid])
         },

@@ -88,10 +88,6 @@ ZERO_CAPACITY = dict(TWO_LAYER, capacities=[[1, 0], [1]])
         ("opt", {"layers": [[1, "2"], [2]], "n": 3}, None, "'layers'"),
         ("opt", dict(TWO_LAYER, starting_pattern=[0, "1", 2]), None, "'starting_pattern'"),
         ("split", ZERO_CAPACITY, None, "capacity must be an integer >= 1"),
-        ("load", HUGE_START, {"paths": [[1], [1]]}, "int64"),
-        ("eq", HUGE_START, None, "int64"),
-        ("enumerate", HUGE_START, None, "int64"),
-        ("check-ufr", HUGE_START, {"paths": [[1], [1]]}, "int64"),
         ("check-ufr", TWO_LAYER, {"paths": [[3, 1], [2, 1], [1, 1]]}, "has no edge 3"),
         ("enumerate", {"layers": [[1, 1, 1]], "n": 10_000}, None, "budget"),
         ("check-ufr", {"layers": [[1, 1, 1]] * 10_000, "n": 1}, {"paths": [[1] * 10_000]}, "budget"),
@@ -110,8 +106,7 @@ ZERO_CAPACITY = dict(TWO_LAYER, capacities=[[1, 0], [1]])
     ],
     ids=[
         "load-layers", "load-paths", "load-pattern", "eq-layers", "eq-pattern", "opt-layers", "opt-pattern",
-        "split-capacity", "load-huge-start", "eq-huge-start", "enumerate-huge-start",
-        "check-ufr-huge-start", "check-ufr-paths", "enumerate-many-states", "check-ufr-many-paths",
+        "split-capacity", "check-ufr-paths", "enumerate-many-states", "check-ufr-many-paths",
         "load-paths-equal-to-1", "load-paths-list-entry", "eq-huge-n", "opt-huge-n", "poa-huge-n",
         "enumerate-huge-n", "enumerate-capacity", "check-ufr-capacity", "flow-capacity", "poa-capacity",
     ],
@@ -128,6 +123,56 @@ def test_malformed_input_exits_2(tmp_path, capsys, command, game, state, message
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and message in err
+
+
+def test_starts_past_int64_shift_every_output_time(tmp_path, capsys):
+    # HUGE_START is the zero-start game moved by 2**63 - 1: each time in the
+    # output moves by as much, and everything else stays the same
+    shift = 2**63 - 1
+    s = tmp_path / "state.json"
+    s.write_text(json.dumps({"paths": [[1], [1]]}))
+    outputs = {}
+    for name, game in (("zero", {"layers": [[1]], "n": 2}), ("huge", HUGE_START)):
+        g = tmp_path / f"{name}.json"
+        g.write_text(json.dumps(game))
+        commands = (["load", g, s], ["eq", g], ["enumerate", g], ["check-ufr", g, s])
+        outputs[name] = [run(capsys, *map(str, argv)) for argv in commands]
+    assert [(code, err) for code, _, err in outputs["zero"]] == [(0, "")] * 4
+    loaded, eq, enumerated, verdict = (json.loads(out) for _, out, _ in outputs["zero"])
+    loaded["arrivals"] = [[t + shift for t in row] for row in loaded["arrivals"]]
+    loaded["completions"] = loaded["arrivals"][-1]
+    loaded["makespan"] += shift
+    eq["makespan"] += shift
+    for found in enumerated["equilibria"]:
+        found["makespan"] += shift
+    assert verdict == {"equilibrium": True}
+    expected = [(0, json.dumps(report) + "\n", "") for report in (loaded, eq, enumerated, verdict)]
+    assert outputs["huge"] == expected
+
+
+BIG_TRANSITS = {"layers": [[9 * 10**4299], [9 * 10**4299]], "n": 1}  # 4300 digits each, the most JSON reads
+
+
+@pytest.mark.parametrize(
+    "argv, game, state",
+    [
+        (["opt"], BIG_TRANSITS, None),
+        (["eq"], BIG_TRANSITS, None),
+        (["load"], {"layers": [[1]], "n": 1, "starting_pattern": [10**4300 - 1]}, {"paths": [[1]]}),
+        (["lowerbound", "--i", "574", "--mode", "analytic"], None, None),
+    ],
+    ids=["opt", "eq", "load", "lowerbound-574"],
+)
+def test_results_too_long_to_print_exit_2(tmp_path, capsys, argv, game, state):
+    # each result holds an int of 4301 digits, which Python refuses to print
+    for content, name in ((game, "game.json"), (state, "state.json")):
+        if content is not None:
+            (tmp_path / name).write_text(json.dumps(content))
+            argv = [*argv, str(tmp_path / name)]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    digits = sys.get_int_max_str_digits()
+    assert err == f"error: a result has an integer of over {digits} digits, Python's limit for printing one\n"
 
 
 @pytest.mark.parametrize("capacity", [2**70, 10**15], ids=["2**70", "10**15"])

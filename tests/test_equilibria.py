@@ -6,6 +6,7 @@ import random
 import re
 import time
 from collections import Counter
+from dataclasses import replace
 from itertools import product
 from math import factorial
 
@@ -18,6 +19,7 @@ from fiforoute import (
     BudgetError,
     ConstructionError,
     Edge,
+    EdgeLog,
     FifoRouteError,
     Game,
     LinearMultigraph,
@@ -26,14 +28,17 @@ from fiforoute import (
     TieBreakPolicy,
     UfrWitness,
     all_paths,
+    check_flow_feasible,
     enumerate_equilibria,
     gen_gkl,
     gen_lower_bound_game,
     is_ufr_equilibrium,
     load,
+    map_state_to_split,
     parse_policy,
     seeded,
     sequential_equilibrium,
+    state_to_flow,
 )
 from fiforoute import equilibria
 from conftest import random_capacitated_game, random_deep_game, random_game, random_pattern, random_state
@@ -596,20 +601,38 @@ def test_enumerate_agrees_with_direct_check_on_capacitated_corpus(cap_corpus):
 
 
 def test_start_times_shifted_by_2_pow_60():
-    # every arrival moves by exactly the shift and the equilibria stay the same,
-    # with and without capacities; a step-by-step loader could not run this
+    # every time moves by exactly the shift and everything else stays the
+    # same, with and without capacities, also past the range of int64; a
+    # step-by-step loader could not run this
     rng = random.Random(60)
-    shift = 2**60
     for k in range(60):
         game = random_capacitated_game(rng) if k % 2 else random_game(rng, with_pattern=rng.random() < 0.5)
         if game.num_paths() ** game.n > 1000:
             continue
-        far = Game(game.graph, game.n, tuple(t + shift for t in game.start_times()))
         state = random_state(rng, game)
-        near_rows = load(game, state).arrivals
-        far_rows = load(far, state).arrivals
-        assert far_rows == tuple(tuple(t + shift for t in row) for row in near_rows), game
-        assert enumerate_equilibria(far) == enumerate_equilibria(game), game
+        near = load(game, state)
+        near_flow = state_to_flow(game, near)
+        assert check_flow_feasible(game.graph, near_flow, expected_value=game.n) == [], game
+        for shift in (2**60, 2**63, 2**70):
+            far_game = Game(game.graph, game.n, tuple(t + shift for t in game.start_times()))
+            far = load(far_game, state)
+            assert far.arrivals == tuple(tuple(t + shift for t in row) for row in near.arrivals), game
+            assert far.waiting == near.waiting and far.latency == near.latency, game
+            assert far.edge_logs == {
+                key: EdgeLog(tuple(t + shift for t in log.entries), tuple(t + shift for t in log.departs), log.players)
+                for key, log in near.edge_logs.items()
+            }, game
+            assert far.trace == tuple(replace(ev, time=ev.time + shift) for ev in near.trace), game
+            assert far.queue_sum_times == tuple(t + shift for t in near.queue_sum_times), game
+            assert far.queue_sum_values == near.queue_sum_values, game
+            far_flow = state_to_flow(far_game, far)
+            assert far_flow.horizon == near_flow.horizon + shift, game
+            assert far_flow.rates == {
+                key: tuple((t + shift, r) for t, r in bps) for key, bps in near_flow.rates.items()
+            }, game
+            assert check_flow_feasible(game.graph, far_flow, expected_value=game.n) == [], game
+            assert map_state_to_split(far_game, state, far) == map_state_to_split(game, state, near), game
+            assert enumerate_equilibria(far_game) == enumerate_equilibria(game), game
 
 
 def test_arrival_order_matches_player_order():

@@ -138,6 +138,10 @@ def test_lower_bound_row_refuses_over_the_cap_before_building_the_game(monkeypat
             lower_bound_row(i, cap=cap)
     with pytest.raises(InstanceError, match="use analytic mode"):
         pos_ratio(300)
+    with pytest.raises(InstanceError, match="unknown mode 'bogus'"):
+        lower_bound_row(300, mode="bogus")
+    with pytest.raises(InstanceError, match="unknown mode 'x'"):
+        pos_ratio(300, mode="x")
 
 
 def test_limit_bound_values():
