@@ -73,6 +73,8 @@ def test_assert_same_text_points_at_the_first_difference():
 TWO_LAYER = {"layers": [[1, 2], [2]], "n": 3}
 TWO_LAYER_PATHS = {"paths": [[1, 1], [2, 1], [1, 1]]}
 HUGE_START = {"layers": [[1]], "n": 2, "starting_pattern": [2**63 - 1, 2**63 - 1]}
+# a start of 4301 digits, one more than Python reads from text: the one bound on starts
+START_PAST_READING = '{"layers": [[1]], "n": 2, "starting_pattern": [1' + "0" * 4300 + ', 0]}'
 HUGE_N = {"layers": [[1, 2]], "n": 10**11}  # refused before one column of n entries is built
 ZERO_CAPACITY = dict(TWO_LAYER, capacities=[[1, 0], [1]])
 
@@ -88,6 +90,10 @@ ZERO_CAPACITY = dict(TWO_LAYER, capacities=[[1, 0], [1]])
         ("opt", {"layers": [[1, "2"], [2]], "n": 3}, None, "'layers'"),
         ("opt", dict(TWO_LAYER, starting_pattern=[0, "1", 2]), None, "'starting_pattern'"),
         ("split", ZERO_CAPACITY, None, "capacity must be an integer >= 1"),
+        ("load", START_PAST_READING, {"paths": [[1], [1]]}, "invalid JSON"),
+        ("eq", START_PAST_READING, None, "invalid JSON"),
+        ("enumerate", START_PAST_READING, None, "invalid JSON"),
+        ("check-ufr", START_PAST_READING, {"paths": [[1], [1]]}, "invalid JSON"),
         ("check-ufr", TWO_LAYER, {"paths": [[3, 1], [2, 1], [1, 1]]}, "has no edge 3"),
         ("enumerate", {"layers": [[1, 1, 1]], "n": 10_000}, None, "budget"),
         ("check-ufr", {"layers": [[1, 1, 1]] * 10_000, "n": 1}, {"paths": [[1] * 10_000]}, "budget"),
@@ -106,14 +112,15 @@ ZERO_CAPACITY = dict(TWO_LAYER, capacities=[[1, 0], [1]])
     ],
     ids=[
         "load-layers", "load-paths", "load-pattern", "eq-layers", "eq-pattern", "opt-layers", "opt-pattern",
-        "split-capacity", "check-ufr-paths", "enumerate-many-states", "check-ufr-many-paths",
+        "split-capacity", "load-huge-start", "eq-huge-start", "enumerate-huge-start",
+        "check-ufr-huge-start", "check-ufr-paths", "enumerate-many-states", "check-ufr-many-paths",
         "load-paths-equal-to-1", "load-paths-list-entry", "eq-huge-n", "opt-huge-n", "poa-huge-n",
         "enumerate-huge-n", "enumerate-capacity", "check-ufr-capacity", "flow-capacity", "poa-capacity",
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, command, game, state, message):
     g = tmp_path / "game.json"
-    g.write_text(json.dumps(game))
+    g.write_text(game if isinstance(game, str) else json.dumps(game))
     argv = [command, str(g)]
     if state is not None:
         s = tmp_path / "state.json"
