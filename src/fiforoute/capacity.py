@@ -3,9 +3,8 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .instances import SIMULATION_CAP
 from .loading import LoadingResult
-from .model import Edge, FifoRouteError, Game, LinearMultigraph, ModelError, PathChoice, State
+from .model import SIMULATION_CAP, Edge, FifoRouteError, Game, LinearMultigraph, ModelError, State, share_paths
 
 EdgeMapping = dict[tuple[int, int], tuple[int, ...]]
 
@@ -38,7 +37,7 @@ def map_state_to_split(game: Game, state: State, loading: LoadingResult) -> Stat
     1-based FIFO rank on that edge in the capacity-aware loading: split index
     1 + (capacities of the lower edges of its layer) + ((q-1) mod capacity).
     Loading the translated profile on the split game reproduces every
-    arrival time.
+    arrival time. Players on one translated path share one PathChoice.
     """
     if loading.game is not game or loading.state is not state:
         if loading.game != game or loading.state != state:
@@ -51,4 +50,4 @@ def map_state_to_split(game: Game, state: State, loading: LoadingResult) -> Stat
         column = columns[layer - 1]
         for rank, i in enumerate(log.players):
             column[i] = first + rank % c
-    return State(tuple(map(PathChoice, zip(*columns))))
+    return share_paths(zip(*columns))

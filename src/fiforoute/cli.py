@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from fractions import Fraction
@@ -22,9 +23,10 @@ from .equilibria import (
     sequential_equilibrium,
 )
 from .flows import check_flow_feasible, flow_to_dict, state_to_flow
-from .instances import SIMULATION_CAP, lower_bound_row
+from .instances import lower_bound_row
 from .loading import LoadingResult, arrival_sweep, load, trace_rows
 from .model import (
+    SIMULATION_CAP,
     FifoRouteError,
     Game,
     game_to_dict,
@@ -54,10 +56,13 @@ def _simulable_game(path: str) -> Game:
     return game
 
 
-def _trace_csv(result) -> None:
-    writer = csv.writer(sys.stdout, lineterminator="\n")
+def _trace_csv(result: LoadingResult) -> str:
+    """The trace as CSV text, built whole so that a failure prints nothing."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["time", "edge", "event", "player"])
     writer.writerows(trace_rows(result))
+    return out.getvalue()
 
 
 def cmd_load(args: argparse.Namespace) -> int:
@@ -67,7 +72,7 @@ def cmd_load(args: argparse.Namespace) -> int:
     if args.format == "csv":
         if not args.trace:
             raise FifoRouteError("csv output for load requires --trace")
-        _trace_csv(result)
+        sys.stdout.write(_trace_csv(result))
         return EXIT_OK
     sys.stdout.write(_load_report(result, args.trace))
     return EXIT_OK

@@ -5,13 +5,13 @@ import random
 from bisect import bisect_left, insort
 from collections.abc import Iterable
 from dataclasses import dataclass
-from itertools import accumulate, groupby, product, repeat
+from itertools import accumulate, groupby, repeat
 from typing import Union
 
 # load and validate_game are unused here; perfbench's span self-test reads
 # equilibria.load and equilibria.validate_game
 from .loading import arrival_sweep, check_profile, load
-from .model import FifoRouteError, Game, PathChoice, State, all_paths, validate_game
+from .model import FifoRouteError, Game, PathChoice, State, all_paths, path_indices, share_paths, validate_game
 
 
 class BudgetError(FifoRouteError):
@@ -125,14 +125,7 @@ def sequential_equilibrium(game: Game, policy: TieBreakPolicy = GREEDY_QUEUE) ->
         columns = _fill_columns(game)
     else:
         columns = _walk(game, policy)[1]
-    path_of: dict[tuple[int, ...], PathChoice] = {}
-    paths = []
-    for key in zip(*columns):
-        path = path_of.get(key)
-        if path is None:
-            path = path_of[key] = PathChoice(key)
-        paths.append(path)
-    return State(tuple(paths))
+    return share_paths(zip(*columns))
 
 
 def _fill_columns(game: Game) -> list[list[int]]:
@@ -489,7 +482,7 @@ def is_ufr_equilibrium(
     base = arrival_sweep(game, state.paths)
     own = state.paths[i].edge_indices
     paths = list(state.paths)
-    for indices in product(*[range(1, size + 1) for size in game.graph.layer_sizes]):  # all_paths order
+    for indices in path_indices(game.graph.layer_sizes):
         if indices == own:
             continue
         paths[i] = alt = PathChoice(indices)

@@ -7,15 +7,13 @@ from math import factorial
 
 from .equilibria import sequential_equilibrium
 from .loading import arrival_sweep
-from .model import FifoRouteError, Game, LinearMultigraph
-from .optimum import min_horizon
+from .model import SIMULATION_CAP, FifoRouteError, Game, LinearMultigraph
+from .optimum import min_horizon_for
 
 
 class InstanceError(FifoRouteError):
     """Bad family parameters, or a simulation request beyond the packet cap."""
 
-
-SIMULATION_CAP = 10**6
 
 # Euler's number as an exact rational bracket: _E_NUM/_E_DEN < e < (_E_NUM+1)/_E_DEN.
 # Sixty decimal digits; every ceiling computed from it cross-checks both bounds.
@@ -94,6 +92,11 @@ def gen_gkl(k: int, l: int, tau: dict[int, int] | None = None) -> LinearMultigra
     Layer j holds k-(j-1) standard edges of transit 1 at the lowest indices
     and j-1 special edges of transit tau[j] at the highest indices.
     """
+    return LinearMultigraph.from_transits(_gkl_transits(k, l, tau))
+
+
+def _gkl_transits(k: int, l: int, tau: dict[int, int] | None) -> list[list[int]]:
+    """gen_gkl's transits per layer, each layer already sorted."""
     if not (isinstance(k, int) and isinstance(l, int)) or k < 1 or l < 0 or l >= k:
         raise InstanceError(f"need 0 <= l < k, got k={k}, l={l}")
     tau = tau or {}
@@ -108,7 +111,7 @@ def gen_gkl(k: int, l: int, tau: dict[int, int] | None = None) -> LinearMultigra
                 raise InstanceError(f"special transit for layer {j} must be an integer >= 1")
             row += [tau[j]] * special
         layers.append(row)
-    return LinearMultigraph.from_transits(layers)
+    return layers
 
 
 def gen_lower_bound_game(i: int) -> Game:
@@ -160,20 +163,23 @@ def limit_bound(l: int) -> Fraction:
 
 def lower_bound_row(i: int, mode: str = "simulate", cap: int = SIMULATION_CAP) -> dict:
     """One table row of the convergence report; exact fields plus decimal echoes.
-    simulate builds the greedy-queue equilibrium and sweeps it (player count
-    capped), analytic takes the closed form; the optimum is min_horizon."""
+    simulate builds the game and sweeps its greedy-queue equilibrium (player
+    count capped), analytic takes the closed form and builds no game; the
+    optimum is min_horizon, from the cheapest paths' lengths."""
     if mode not in ("simulate", "analytic"):
         raise InstanceError(f"unknown mode {mode!r} (expected simulate or analytic)")
     params = LowerBoundParams.for_index(i)
     if mode == "simulate" and params.n > cap:  # before building k - i layers of k edges
         raise InstanceError(f"n = {params.n} exceeds the simulation cap {cap}; use analytic mode")
-    game = gen_lower_bound_game(i)
+    transits = _gkl_transits(params.k, params.l, params.tau_special)
     if mode == "simulate":
+        game = Game(LinearMultigraph.from_transits(transits), params.n)
         state = sequential_equilibrium(game)
         eq_makespan, source = max(arrival_sweep(game, state.paths)[-1]), "sim"
     else:
         eq_makespan, source = eq_completion_closed_form(params), "formula"
-    opt = min_horizon(game)
+    # every layer is sorted, so path j takes edge j of each: the column sums
+    opt = min_horizon_for(list(map(sum, zip(*transits))), params.n)
     ratio = Fraction(eq_makespan, opt)
     return {
         "i": params.i,

@@ -2,12 +2,16 @@
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, product
 from math import prod
 from operator import countOf
 from typing import TextIO
+
+
+# the most players, or split edges, the library simulates: larger work is refused before it is built
+SIMULATION_CAP = 10**6
 
 
 class FifoRouteError(Exception):
@@ -137,6 +141,19 @@ class State:
     @property
     def n(self) -> int:
         return len(self.paths)
+
+
+def share_paths(rows: Iterable[tuple[int, ...]]) -> State:
+    """The State of per-player rows of plain ints, the players of one row
+    sharing one PathChoice."""
+    shared: dict[tuple[int, ...], PathChoice] = {}
+    paths = []
+    for key in rows:
+        path = shared.get(key)
+        if path is None:
+            path = shared[key] = PathChoice(key)
+        paths.append(path)
+    return State(tuple(paths))
 
 
 @dataclass(frozen=True)
@@ -365,9 +382,7 @@ def state_from_dict(data: dict) -> State:
         # True and 1.0 equal 1 and a list has no hash: share nothing, so
         # validate_state names every bad entry
         return State(tuple(PathChoice(tuple(row)) for row in paths))
-    rows = list(map(tuple, paths))
-    shared = {row: PathChoice(row) for row in dict.fromkeys(rows)}  # one per distinct path
-    return State(tuple(map(shared.__getitem__, rows)))
+    return share_paths(map(tuple, paths))
 
 
 # The state writer's form: _PATHS_HEAD + _ROW_SEP.join(rows) + _PATHS_TAIL,
@@ -474,9 +489,12 @@ def save_state_file(state: State, path: str) -> None:
         fh.write(_PATHS_TAIL + "\n")
 
 
+def path_indices(layer_sizes: Iterable[int]) -> Iterator[tuple[int, ...]]:
+    """The edge indices of every path through layers of these sizes, in
+    lexicographic order: the library's one order of paths."""
+    return product(*[range(1, size + 1) for size in layer_sizes])
+
+
 def all_paths(graph: LinearMultigraph) -> list[PathChoice]:
     """Every strategy, ordered lexicographically by edge indices."""
-    choices: list[tuple[int, ...]] = [()]
-    for size in graph.layer_sizes:
-        choices = [prefix + (i,) for prefix in choices for i in range(1, size + 1)]
-    return [PathChoice(c) for c in choices]
+    return list(map(PathChoice, path_indices(graph.layer_sizes)))

@@ -75,8 +75,12 @@ def min_horizon(game: Game) -> int:
     arithmetic throughout, so astronomic player counts are fine.
     """
     _require_plain(game, "min_horizon")
-    lengths = _path_lengths(game.graph)
-    n = game.n
+    return min_horizon_for(_path_lengths(game.graph), game.n)
+
+
+def min_horizon_for(lengths: list[int], n: int) -> int:
+    """min_horizon of n players on pairwise edge-disjoint cheapest paths of
+    these non-decreasing lengths."""
     prefix = 0
     k = len(lengths)
     for t, length in enumerate(lengths, start=1):

@@ -11,8 +11,10 @@ from fiforoute import (
     ModelError,
     PathChoice,
     State,
+    gen_lower_bound_game,
     load,
     map_state_to_split,
+    sequential_equilibrium,
     split_capacities,
 )
 
@@ -103,6 +105,16 @@ def test_split_preserves_arrivals_on_random_games():
         assert split_result.arrivals == result.arrivals
         assert split_result.completions == result.completions
         assert split_result.makespan == result.makespan
+
+
+def test_mapped_profile_shares_one_path_choice_per_distinct_path(cap_corpus):
+    rng = random.Random(0x5A7)
+    cases = [(game, random_state(rng, game)) for game in cap_corpus]
+    lower_bound = gen_lower_bound_game(2)
+    cases.append((lower_bound, sequential_equilibrium(lower_bound)))
+    for game, state in cases:
+        mapped = map_state_to_split(game, state, load(game, state))
+        assert len(set(map(id, mapped.paths))) == len(set(mapped.paths))
 
 
 def test_split_refuses_more_edges_than_the_simulation_cap(monkeypatch):

@@ -167,11 +167,17 @@ BIG_TRANSITS = {"layers": [[9 * 10**4299], [9 * 10**4299]], "n": 1}  # 4300 digi
         (["eq"], BIG_TRANSITS, None),
         (["load"], {"layers": [[1]], "n": 1, "starting_pattern": [10**4300 - 1]}, {"paths": [[1]]}),
         (["lowerbound", "--i", "574", "--mode", "analytic"], None, None),
+        (
+            ["load", "--trace", "--format", "csv"],
+            {"layers": [[1]], "n": 2, "starting_pattern": [10**4300 - 1] * 2},
+            {"paths": [[1], [1]]},
+        ),
     ],
-    ids=["opt", "eq", "load", "lowerbound-574"],
+    ids=["opt", "eq", "load", "lowerbound-574", "load-trace-csv"],
 )
 def test_results_too_long_to_print_exit_2(tmp_path, capsys, argv, game, state):
-    # each result holds an int of 4301 digits, which Python refuses to print
+    # each result holds an int of 4301 digits, which Python refuses to print;
+    # nothing is printed before it, not even the trace rows of 4300 digits
     for content, name in ((game, "game.json"), (state, "state.json")):
         if content is not None:
             (tmp_path / name).write_text(json.dumps(content))

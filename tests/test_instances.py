@@ -129,10 +129,10 @@ def test_pos_ratio_guards():
 
 def test_lower_bound_row_refuses_over_the_cap_before_building_the_game(monkeypatch):
     # game i = 300 would have 516 layers of 816 edges; the refusal needs only n
-    def unbuilt(i):
-        raise AssertionError(f"game {i} built")
+    def unbuilt(*args):
+        raise AssertionError(f"transits of gen_gkl{args} built")
 
-    monkeypatch.setattr(instances, "gen_lower_bound_game", unbuilt)
+    monkeypatch.setattr(instances, "_gkl_transits", unbuilt)
     for i, cap in ((2, 100), (300, instances.SIMULATION_CAP)):
         with pytest.raises(InstanceError, match="use analytic mode"):
             lower_bound_row(i, cap=cap)
@@ -142,6 +142,22 @@ def test_lower_bound_row_refuses_over_the_cap_before_building_the_game(monkeypat
         lower_bound_row(300, mode="bogus")
     with pytest.raises(InstanceError, match="unknown mode 'x'"):
         pos_ratio(300, mode="x")
+
+
+def test_lower_bound_row_opt_horizon_is_min_horizon_of_the_game():
+    for i in range(1, 31):
+        assert lower_bound_row(i, mode="analytic")["opt_horizon"] == min_horizon(gen_lower_bound_game(i))
+
+
+def test_analytic_rows_build_no_game(monkeypatch):
+    expected = [lower_bound_row(i, mode="analytic") for i in range(1, 6)]
+
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("game built")
+
+    monkeypatch.setattr(instances.LinearMultigraph, "from_transits", unbuilt)
+    monkeypatch.setattr(instances, "Game", unbuilt)
+    assert [lower_bound_row(i, mode="analytic") for i in range(1, 6)] == expected
 
 
 def test_limit_bound_values():
